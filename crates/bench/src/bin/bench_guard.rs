@@ -42,9 +42,10 @@
 //!   core's advantage is floored in `fleet_scale.deep_10k`;
 //! * fleet-scale section (`fleet_scale`: a 100k-job bimodal stream over
 //!   120 devices plus a 10k-deep backlogged queue): conservative/EASY
-//!   decide-throughput ratio at 10k depth ≥ 0.2× (the incremental
-//!   profile/ledger must keep per-job reservations within 5× of EASY;
-//!   recorded ≈ 0.24× vs ≈ 0.03× before the incremental split),
+//!   decide-throughput ratio at 10k depth ≥ 0.5× (re-slotting on the
+//!   per-decision flat level array must keep conservative within 2× of
+//!   EASY; recorded ≈ 0.73×, vs ≈ 0.03× with a full availability
+//!   rebuild per consult),
 //!   100k-stream EASY throughput ≥ 10k jobs/s, and an
 //!   allocations-per-job ceiling of 100 on both measured disciplines
 //!   (recorded ≈ 33);
@@ -111,11 +112,12 @@ const WALL_CLOCK_FLOOR_MIN_CORES: u64 = 4;
 const PENDING_10K_PARITY_FLOOR: f64 = 0.85;
 /// Floor for `fleet_scale.deep_10k.conservative_vs_easy`: conservative's
 /// decide throughput over EASY's on a 10k-deep backlogged queue across a
-/// 120-device fleet. The incremental availability profile + persistent
-/// booking ledger must keep per-job reservations within 5× of EASY's
-/// head-only protection (the per-consult full rebuild held this near
-/// 0.03×).
-const FLEET_DEEP_RATIO_FLOOR: f64 = 0.2;
+/// 120-device fleet. The incremental availability profile plus one flat
+/// `LevelArray` per decision (rebuilt from the standing bookings, then
+/// patched by range-adds and scanned linearly per re-slot) must keep
+/// per-job reservations within 2× of EASY's head-only protection
+/// (recorded ≈ 0.73×; a per-consult full rebuild held this near 0.03×).
+const FLEET_DEEP_RATIO_FLOOR: f64 = 0.5;
 /// Floor for `fleet_scale.backfill_speed.jobs_per_sec`: sustained
 /// scheduler-loop throughput for the 100k-job bimodal stream over 120
 /// devices must not collapse (rules out an accidental O(n²) reintroduction,

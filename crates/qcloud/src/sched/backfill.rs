@@ -25,7 +25,7 @@
 use std::sync::{Arc, Mutex};
 
 use super::fifo::{apply_parts, blocked_reason, validate_plan};
-use super::timeline::{project_dispatch_releases, CapacityTimeline};
+use super::timeline::{project_dispatch_releases, CapacityTimeline, ReleaseSink};
 use super::{CloudState, Dispatch, Scheduler, SchedulingDecision, WaitReason};
 use crate::broker::{AllocationPlan, Broker, CloudView};
 use crate::job::{JobId, QJob};
@@ -56,9 +56,9 @@ pub struct BackfillScheduler {
     view: CloudView,
     /// Scratch: queue slots not yet dispatched in the current batch.
     alive: Vec<u32>,
-    /// Persistent timeline over the state's incrementally maintained
-    /// availability profile; EASY keeps no standing bookings, so only the
-    /// per-decision overlay is used.
+    /// The per-decision overlay of this batch's dispatches on top of the
+    /// state's incrementally maintained availability profile (EASY keeps
+    /// no standing bookings).
     timeline: CapacityTimeline,
     /// How many queued jobs behind the head are considered per decision.
     candidate_limit: usize,

@@ -5,12 +5,12 @@
 //! on adversarial traces repeatedly does (starvation of mid-queue jobs).
 //! Conservative backfilling closes that hole: every decision walks the
 //! pending queue in FIFO order and books each job a start reservation on
-//! the shared [`CapacityTimeline`] availability profile (lease returns,
-//! scheduled maintenance windows, and all earlier-queued jobs' reservations
-//! included). A job is admitted **now** only when its own reserved start
-//! *is* now — i.e. when running it cannot delay the promised start of any
-//! job ahead of it in the queue, because those promises were already
-//! carved out of the profile it was planned against.
+//! the availability profile (lease returns, scheduled maintenance windows,
+//! and all earlier-queued jobs' reservations included). A job is admitted
+//! **now** only when its own reserved start *is* now — i.e. when running
+//! it cannot delay the promised start of any job ahead of it in the queue,
+//! because those promises were already carved out of the profile it was
+//! planned against.
 //!
 //! Bookings are **persistent** across decisions and compressed
 //! one-at-a-time (Mu'alem & Feitelson's conservative discipline): on every
@@ -26,6 +26,20 @@
 //! job's reservation left *into* a window a later job was promised,
 //! breaking the later promise — the proptest suite caught exactly that.
 //!
+//! **One flat array per decision.** The booking list is the only state
+//! kept between decisions. Each decide rebuilds a [`LevelArray`] — the
+//! availability profile minus every standing booking, as `(time, absolute
+//! level)` steps — once, then works on it in place: lifting a booking,
+//! re-booking it, withdrawing an admitted dispatch and projecting its
+//! releases are range-adds over contiguous levels, and each re-slot is a
+//! linear scan. Levels are exact integer sums at the same instants a
+//! merged delta stream would visit, and a breakpoint where the level does
+//! not change cannot move a slot (see [`super::timeline`]), so the
+//! dispatch stream does not depend on how the step function is stored. A
+//! booking also keeps its job's worst-case hold: the fleet's `qv_layers`
+//! and `clops` never change under a [`CloudState`], so the cached value
+//! is the one a recomputation would give.
+//!
 //! Under a work-conserving policy every job therefore starts no later than
 //! every reservation ever issued for it (pinned by
 //! `tests/scheduler_proptests`); quality-strict policies (`fidelity`,
@@ -40,7 +54,7 @@
 //! casing here: a crashed device is offline with no maintenance window, so
 //! [`CloudState::refresh`] drops it from the incrementally maintained
 //! availability profile on the next consult; standing bookings against the
-//! shrunken profile may drive the projection negative (the timeline is
+//! shrunken profile may drive the projection negative (the levels are
 //! signed and assert-free by design), and a booking that no longer fits
 //! anywhere re-slots at
 //! `f64::INFINITY` — i.e. stays parked until capacity returns. Two weaker
@@ -56,7 +70,7 @@
 use std::sync::{Arc, Mutex};
 
 use super::fifo::{apply_parts, blocked_reason, validate_plan};
-use super::timeline::{project_dispatch_releases, CapacityTimeline};
+use super::timeline::{project_dispatch_releases, LevelArray, ReleaseSink};
 use super::{CloudState, Dispatch, Scheduler, SchedulingDecision, WaitReason};
 use crate::broker::{AllocationPlan, Broker, CloudView};
 use crate::job::{JobId, QJob};
@@ -86,6 +100,8 @@ struct Booking {
     start: f64,
     end: f64,
     qubits: u64,
+    /// The job's [`CloudState::worst_hold_seconds`], fixed for the run.
+    hold: f64,
 }
 
 /// Conservative backfilling over any [`Broker`] policy; see the module
@@ -96,12 +112,11 @@ pub struct ConservativeBackfillScheduler {
     view: CloudView,
     /// Scratch: queue slots not yet dispatched in the current batch.
     alive: Vec<u32>,
-    /// Persistent timeline whose booking ledger mirrors `bookings`: a
-    /// booked interval stays in force across decisions until the job is
-    /// dispatched (lifted at admission) or time folds it away, so a decide
-    /// no longer replays every standing booking from scratch.
-    timeline: CapacityTimeline,
-    /// Standing bookings, re-compressed (one at a time) every decision.
+    /// The decision's availability, rebuilt from the state's profile and
+    /// `bookings` at the start of every decide (buffers reused).
+    levels: LevelArray,
+    /// Standing bookings, re-compressed (one at a time) every decision. A
+    /// booking stays in force until its job is dispatched.
     bookings: Vec<Booking>,
     /// How many queued jobs are re-slotted per decision (compression
     /// horizon; jobs beyond it keep their standing booking untouched and
@@ -122,7 +137,7 @@ impl ConservativeBackfillScheduler {
                 devices: Vec::new(),
             },
             alive: Vec::new(),
-            timeline: CapacityTimeline::new(),
+            levels: LevelArray::new(),
             bookings: Vec::new(),
             lookahead: 64,
             reservations: None,
@@ -149,21 +164,23 @@ impl Scheduler for ConservativeBackfillScheduler {
         state.copy_view_into(&mut self.view);
         self.alive.clear();
         self.alive.extend(0..queue.len() as u32);
-        let profile = state.profile();
-        self.timeline.begin_decide(now);
         let calendar = state.maintenance();
         let mut dispatches = Vec::new();
         let mut backfilled = false;
 
-        // The ledger already holds every standing booking: a job's booking
-        // is removed exactly when it leaves the pending queue (admission
-        // lifts it before dispatch), so no sweep against the queue is
-        // needed — compression below lifts bookings out one at a time.
+        // A job's booking is removed exactly when it leaves the pending
+        // queue (admission lifts it before dispatch), so `bookings` holds
+        // every standing promise and no sweep against the queue is needed
+        // — compression below lifts bookings out one at a time.
         debug_assert!(
             self.bookings
                 .iter()
                 .all(|b| queue.iter().any(|j| j.id == b.job)),
             "standing booking for a job not in the pending queue"
+        );
+        self.levels.rebuild(
+            state.profile(),
+            self.bookings.iter().map(|b| (b.start, b.end, b.qubits)),
         );
 
         // One FIFO-ordered compression-and-admission pass. `vi` indexes
@@ -185,13 +202,15 @@ impl Scheduler for ConservativeBackfillScheduler {
             // everything else still in force: the new start can only move
             // earlier (its old slot is still free), so no standing promise
             // ever degrades.
-            if let Some(bi) = booked {
-                let b = self.bookings[bi];
-                self.timeline
-                    .unreserve_interval(b.start.max(now), b.end, b.qubits);
-            }
-            let dur = state.worst_hold_seconds(job);
-            let start = self.timeline.earliest_slot(profile, job.num_qubits, dur);
+            let dur = match booked {
+                Some(bi) => {
+                    let b = self.bookings[bi];
+                    self.levels.unbook(b.start, b.end, b.qubits);
+                    b.hold
+                }
+                None => state.worst_hold_seconds(job),
+            };
+            let start = self.levels.earliest_slot(job.num_qubits, dur);
             let admissible = start <= now;
             // The head of the residual queue is probed unconditionally
             // (exactly EASY's head consult, keeping stateful brokers in
@@ -208,15 +227,8 @@ impl Scheduler for ConservativeBackfillScheduler {
                     if let Some(bi) = booked {
                         self.bookings.swap_remove(bi);
                     }
-                    self.timeline.withdraw_now(job.num_qubits);
-                    project_dispatch_releases(
-                        &mut self.timeline,
-                        state,
-                        calendar,
-                        job,
-                        &parts,
-                        now,
-                    );
+                    self.levels.withdraw_now(job.num_qubits);
+                    project_dispatch_releases(&mut self.levels, state, calendar, job, &parts, now);
                     apply_parts(&mut self.view, &parts, now);
                     if vi > 0 {
                         backfilled = true;
@@ -243,12 +255,13 @@ impl Scheduler for ConservativeBackfillScheduler {
             }
             if start.is_finite() {
                 let end = start + dur;
-                self.timeline.reserve_interval(start, end, job.num_qubits);
+                self.levels.book(start, end, job.num_qubits);
                 let booking = Booking {
                     job: job.id,
                     start,
                     end,
                     qubits: job.num_qubits,
+                    hold: dur,
                 };
                 match booked {
                     Some(bi) => self.bookings[bi] = booking,
@@ -262,8 +275,7 @@ impl Scheduler for ConservativeBackfillScheduler {
                 // backfill admitted this round collide with a finite
                 // promise already issued for this job.
                 let b = self.bookings[bi];
-                self.timeline
-                    .reserve_interval(b.start.max(now), b.end, b.qubits);
+                self.levels.book(b.start, b.end, b.qubits);
             }
             vi += 1;
         }

@@ -26,9 +26,11 @@
 //!   backfilling disciplines share the availability machinery: the state
 //!   owns an incrementally maintained [`AvailabilityProfile`] (lease table
 //!   and maintenance calendar, re-derived per touched device instead of
-//!   per decision) and each scheduler layers a persistent [`CapacityTimeline`]
-//!   of bookings and batch dispatches on top, so shadow computations see
-//!   scheduled windows coming without any per-decide rebuild.
+//!   per decision). EASY layers a [`CapacityTimeline`] overlay of the
+//!   batch's dispatches on top; conservative rebuilds a flat
+//!   [`LevelArray`] from the profile and its standing bookings once per
+//!   decision. Either way shadow computations see scheduled windows
+//!   coming.
 //!
 //! Disciplines compose with policies by name through
 //! [`crate::policies::scheduler_by_name`] (e.g. `backfill+speed`,
@@ -46,7 +48,7 @@ pub use conservative::{ConservativeBackfillScheduler, ReservationLog, StartReser
 pub use fifo::{FifoAdapter, SnapshotAdapter};
 pub use priority::{PriorityDiscipline, PriorityScheduler};
 pub use state::{CloudState, DeviceSpec, Lease};
-pub use timeline::{AvailabilityProfile, CapacityTimeline};
+pub use timeline::{AvailabilityProfile, CapacityTimeline, LevelArray, ReleaseSink};
 
 use crate::device::DeviceId;
 use crate::job::QJob;

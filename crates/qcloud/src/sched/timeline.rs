@@ -30,23 +30,40 @@
 //!   [`AvailabilityProfile::from_state`] oracle runs, so the incremental
 //!   profile is equal to a from-scratch rebuild by construction
 //!   (differentially proptest-pinned in `tests/timeline_proptests.rs`).
-//! * [`CapacityTimeline`] — the *scheduler-owned* view over a profile:
-//!   a persistent reservation **ledger** (conservative backfilling's
-//!   standing bookings, kept in a `BTreeMap` interval-delta structure with
-//!   O(log n) booking/unbooking) plus a per-decision **overlay** (the
-//!   dispatches admitted in the current batch). Queries are read-only
-//!   (`&self`) and merge the three delta streams without sorting.
+//! * [`CapacityTimeline`] — EASY backfilling's *scheduler-owned* view
+//!   over a profile: a per-decision **overlay** (the dispatches admitted
+//!   in the current batch) merged with the profile's delta stream on
+//!   read. A decide touches a handful of entries, so nothing is copied.
+//! * [`LevelArray`] — conservative backfilling's per-decision **flat
+//!   array** of `(time, absolute level)` steps. Every decide rebuilds it
+//!   once: the profile's deltas and the edges of the standing bookings are
+//!   sorted together and summed into levels. Lifting or re-booking a
+//!   reservation, withdrawing an admitted dispatch and projecting its
+//!   releases are then range-adds on contiguous levels (a new breakpoint
+//!   is found by binary search and inserted), and a slot query is a linear
+//!   scan. The scheduler's own booking list is the only persistent state.
 //!
 //! The two queries:
 //!
 //! * [`CapacityTimeline::earliest_fit`] — the first instant total
 //!   availability covers a demand (EASY backfilling's *shadow time* for
 //!   the blocked head, maintenance-aware);
-//! * [`CapacityTimeline::earliest_slot`] — the first instant a demand
-//!   fits **for an entire duration** (a conservative-backfilling start
-//!   reservation; the interval is then booked with
-//!   [`CapacityTimeline::reserve`] so every later queued job plans around
-//!   it).
+//! * [`LevelArray::earliest_slot`] — the first instant a demand fits
+//!   **for an entire duration** (a conservative-backfilling start
+//!   reservation; the interval is then booked with [`LevelArray::book`]
+//!   so every later queued job plans around it).
+//!
+//! Both answer from the same step function the profile, bookings and
+//! batch define. Levels are exact `i64` sums, so a level array and a
+//! merged delta stream agree on the level at every instant. They can
+//! differ only in *which* breakpoints they list: the array drops an
+//! instant where the summed delta is zero, and a range-add may leave one
+//! behind after a lift and re-book cancel. Such a breakpoint cannot move
+//! an answer. A slot scan changes its candidate only where the level
+//! crosses the demand, which needs a change; and a candidate that
+//! survives a breakpoint is returned by the next one, or at the end, with
+//! the same value. The answer is always `now` or an instant where the level
+//! rises, so the dispatch stream is the same either way.
 //!
 //! The profile is aggregate (fleet-total qubits, not per-device): for the
 //! work-conserving spill policies a job is placeable exactly when the
@@ -327,12 +344,27 @@ impl AvailabilityProfile {
     }
 }
 
-/// A scheduler-owned reservation view over an [`AvailabilityProfile`]:
-/// a persistent booking **ledger** (conservative start reservations,
-/// carried across decisions) plus a per-decision **overlay** (dispatches
-/// admitted in the current batch). Queries are `&self` and merge the
-/// profile's, ledger's and overlay's delta streams; bookings mutate only
-/// the ledger (O(log n)).
+/// Where a just-admitted dispatch's projected releases go: the
+/// per-decision view a backfilling discipline plans the rest of its batch
+/// against.
+pub trait ReleaseSink {
+    /// Removes `qubits` from availability from the decision instant on
+    /// (a dispatch admitted in the current batch).
+    fn withdraw_now(&mut self, qubits: u64);
+
+    /// Returns `qubits` to availability from `at` on (the deterministic
+    /// completion of a dispatch admitted in the current batch). `at` is
+    /// maintenance-adjusted by the caller
+    /// ([`MaintenanceCalendar::next_online_from`]) when the release lands
+    /// inside a window; an `at` at or before the decision instant counts
+    /// from the decision instant.
+    fn add_release(&mut self, at: f64, qubits: u64);
+}
+
+/// EASY backfilling's reservation view over an [`AvailabilityProfile`]: a
+/// per-decision **overlay** of the dispatches admitted in the current
+/// batch. Queries are `&self` and merge the profile's and the overlay's
+/// delta streams.
 #[derive(Debug, Clone, Default)]
 pub struct CapacityTimeline {
     /// The decision instant, set by [`CapacityTimeline::begin_decide`].
@@ -341,101 +373,26 @@ pub struct CapacityTimeline {
     overlay_base: i64,
     /// The batch's future deltas (projected dispatch releases), `> now`.
     overlay: BTreeMap<TimeKey, i64>,
-    /// Net booked qubits at/before `now` (bookings folded as time passes).
-    ledger_base: i64,
-    /// Standing booking deltas, `> now`.
-    ledger: BTreeMap<TimeKey, i64>,
 }
 
 impl CapacityTimeline {
-    /// An empty timeline (no bookings, no batch overlay).
+    /// An empty timeline (no batch overlay).
     pub fn new() -> Self {
         Self::default()
     }
 
     /// Starts a scheduling decision at `now` (must be the profile's fold
-    /// instant, i.e. `state.now()`): clears the per-decision overlay and
-    /// folds every ledger delta due at or before `now` into the ledger
-    /// base, so standing bookings whose start has arrived weigh on the
-    /// instantaneous pool exactly as the seed's per-decide re-application
-    /// (`start.max(now)`) did.
+    /// instant, i.e. `state.now()`): clears the per-decision overlay.
     pub fn begin_decide(&mut self, now: f64) {
         self.now = now;
         self.overlay_base = 0;
         self.overlay.clear();
-        while let Some((&TimeKey(t), _)) = self.ledger.first_key_value() {
-            if t > now {
-                break;
-            }
-            let (_, v) = self.ledger.pop_first().unwrap();
-            self.ledger_base += v;
-        }
     }
 
-    /// Removes `qubits` from the profile at `now` (a dispatch admitted in
-    /// the current decision batch).
-    pub fn withdraw_now(&mut self, qubits: u64) {
-        self.overlay_base -= qubits as i64;
-    }
-
-    /// Adds a projected release of `qubits` at `at` (the deterministic
-    /// completion of a dispatch admitted in the current batch). `at` must
-    /// already be maintenance-adjusted by the caller
-    /// ([`MaintenanceCalendar::next_online_from`]) when the release lands
-    /// inside a window.
-    pub fn add_release(&mut self, at: f64, qubits: u64) {
-        if at <= self.now {
-            self.overlay_base += qubits as i64;
-        } else {
-            map_add(&mut self.overlay, at, qubits as i64);
-        }
-    }
-
-    /// Shifts booked availability by `delta` over `[start, end)` (clamped
-    /// to the decision horizon).
-    fn shift_interval(&mut self, start: f64, end: f64, delta: i64) {
-        let start = start.max(self.now);
-        if end <= start {
-            return;
-        }
-        if start <= self.now {
-            self.ledger_base += delta;
-        } else {
-            map_add(&mut self.ledger, start, delta);
-        }
-        if end.is_finite() {
-            map_add(&mut self.ledger, end, -delta);
-        }
-    }
-
-    /// Books `qubits` over `[start, end)` — a conservative start
-    /// reservation for a queued-but-unplaced job, persistent across
-    /// decisions until explicitly unbooked (or folded away by time).
-    /// Later queries see the reduced availability inside the interval.
-    pub fn reserve_interval(&mut self, start: f64, end: f64, qubits: u64) {
-        self.shift_interval(start, end, -(qubits as i64));
-    }
-
-    /// Exactly reverses a [`CapacityTimeline::reserve_interval`] with the
-    /// same arguments *as clamped by the current decision instant*
-    /// (re-slotting one booking while every other stays in force).
-    pub fn unreserve_interval(&mut self, start: f64, end: f64, qubits: u64) {
-        self.shift_interval(start, end, qubits as i64);
-    }
-
-    /// [`CapacityTimeline::reserve_interval`] expressed as a duration.
-    pub fn reserve(&mut self, start: f64, duration: f64, qubits: u64) {
-        if duration <= 0.0 {
-            return;
-        }
-        let start = start.max(self.now);
-        self.reserve_interval(start, start + duration, qubits);
-    }
-
-    /// Total availability at `now` under the profile, the standing
-    /// bookings, and the current batch.
+    /// Total availability at `now` under the profile and the current
+    /// batch.
     pub fn available_now(&self, profile: &AvailabilityProfile) -> i64 {
-        profile.base + self.ledger_base + self.overlay_base
+        profile.base + self.overlay_base
     }
 
     /// The first instant `≥ now` at which total availability covers
@@ -456,71 +413,45 @@ impl CapacityTimeline {
         }
         f64::INFINITY
     }
+}
 
-    /// The first instant `≥ now` at which `demand` qubits stay available
-    /// for the whole `duration` — a conservative start reservation.
-    /// `f64::INFINITY` when no such interval exists in the projection.
-    pub fn earliest_slot(&self, profile: &AvailabilityProfile, demand: u64, duration: f64) -> f64 {
-        let demand = demand as i64;
-        let mut avail = self.available_now(profile);
-        let mut candidate = if avail >= demand {
-            self.now
+impl ReleaseSink for CapacityTimeline {
+    fn withdraw_now(&mut self, qubits: u64) {
+        self.overlay_base -= qubits as i64;
+    }
+
+    fn add_release(&mut self, at: f64, qubits: u64) {
+        if at <= self.now {
+            self.overlay_base += qubits as i64;
         } else {
-            f64::INFINITY
-        };
-        let mut merge = MergedDeltas::new(profile, self);
-        while let Some((t, dv)) = merge.next_group() {
-            if candidate.is_finite() && t >= candidate + duration {
-                // The run held through the full duration.
-                return candidate;
-            }
-            avail += dv;
-            if avail >= demand {
-                if !candidate.is_finite() {
-                    candidate = t;
-                }
-            } else {
-                candidate = f64::INFINITY;
-            }
+            map_add(&mut self.overlay, at, qubits as i64);
         }
-        // Past the last breakpoint availability is flat forever.
-        candidate
     }
 }
 
-/// Three-way merge of the profile / ledger / overlay delta streams,
-/// grouped by exact timestamp with same-instant deltas summed — so query
-/// loops accumulate-then-test exactly as the seed's sorted-vector scan
-/// did.
+/// Two-way merge of the profile and overlay delta streams, grouped by
+/// exact timestamp with same-instant deltas summed — so the query loop
+/// accumulates-then-tests exactly as the seed's sorted-vector scan did.
 struct MergedDeltas<'a> {
     a: std::collections::btree_map::Iter<'a, TimeKey, i64>,
     b: std::collections::btree_map::Iter<'a, TimeKey, i64>,
-    c: std::collections::btree_map::Iter<'a, TimeKey, i64>,
     pa: Option<(f64, i64)>,
     pb: Option<(f64, i64)>,
-    pc: Option<(f64, i64)>,
 }
 
 impl<'a> MergedDeltas<'a> {
     fn new(profile: &'a AvailabilityProfile, tl: &'a CapacityTimeline) -> Self {
-        let mut m = MergedDeltas {
-            a: profile.deltas.iter(),
-            b: tl.ledger.iter(),
-            c: tl.overlay.iter(),
-            pa: None,
-            pb: None,
-            pc: None,
-        };
-        m.pa = m.a.next().map(|(k, v)| (k.0, *v));
-        m.pb = m.b.next().map(|(k, v)| (k.0, *v));
-        m.pc = m.c.next().map(|(k, v)| (k.0, *v));
-        m
+        let mut a = profile.deltas.iter();
+        let mut b = tl.overlay.iter();
+        let pa = a.next().map(|(k, v)| (k.0, *v));
+        let pb = b.next().map(|(k, v)| (k.0, *v));
+        MergedDeltas { a, b, pa, pb }
     }
 
-    /// The next distinct timestamp and the summed delta across all three
-    /// streams at it.
+    /// The next distinct timestamp and the summed delta of both streams
+    /// at it.
     fn next_group(&mut self) -> Option<(f64, i64)> {
-        let t = [self.pa, self.pb, self.pc]
+        let t = [self.pa, self.pb]
             .iter()
             .flatten()
             .map(|&(t, _)| t)
@@ -541,13 +472,162 @@ impl<'a> MergedDeltas<'a> {
                 self.pb = self.b.next().map(|(k, v)| (k.0, *v));
             }
         }
-        if let Some((tc, v)) = self.pc {
-            if tc == t {
-                dv += v;
-                self.pc = self.c.next().map(|(k, v)| (k.0, *v));
+        Some((t, dv))
+    }
+}
+
+/// Conservative backfilling's per-decision availability: one flat array
+/// of `(time, absolute level)` steps, times strictly ascending, the first
+/// at the decision instant. The level of a step holds until the next
+/// step's time; past the last it holds forever. See the module docs.
+///
+/// The buffers are kept across decisions, so a rebuild allocates nothing
+/// once they have grown to the working size.
+#[derive(Debug, Clone, Default)]
+pub struct LevelArray {
+    steps: Vec<(f64, i64)>,
+    /// Scratch for [`LevelArray::rebuild`]: the booking edges to sort.
+    edges: Vec<(f64, i64)>,
+}
+
+impl LevelArray {
+    /// An empty array; call [`LevelArray::rebuild`] before any other
+    /// method.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Rebuilds the array at the profile's fold instant from `profile`
+    /// minus every `(start, end, qubits)` interval in `booked` (standing
+    /// reservations; a start before the decision instant counts from it).
+    pub fn rebuild(
+        &mut self,
+        profile: &AvailabilityProfile,
+        booked: impl IntoIterator<Item = (f64, f64, u64)>,
+    ) {
+        let now = profile.now;
+        let mut level = profile.base;
+        self.edges.clear();
+        for (start, end, qubits) in booked {
+            let start = start.max(now);
+            if end <= start {
+                continue;
+            }
+            if start <= now {
+                level -= qubits as i64;
+            } else {
+                self.edges.push((start, -(qubits as i64)));
+            }
+            if end.is_finite() {
+                self.edges.push((end, qubits as i64));
             }
         }
-        Some((t, dv))
+        self.edges.sort_unstable_by(|a, b| a.0.total_cmp(&b.0));
+
+        self.steps.clear();
+        self.steps.push((now, level));
+        let mut deltas = profile.deltas.iter().map(|(k, &v)| (k.0, v)).peekable();
+        let mut edges = self.edges.iter().copied().peekable();
+        loop {
+            let t = match (deltas.peek(), edges.peek()) {
+                (None, None) => break,
+                (Some(&(a, _)), None) => a,
+                (None, Some(&(b, _))) => b,
+                (Some(&(a, _)), Some(&(b, _))) => a.min(b),
+            };
+            while let Some((_, v)) = deltas.next_if(|&(u, _)| u == t) {
+                level += v;
+            }
+            while let Some((_, v)) = edges.next_if(|&(u, _)| u == t) {
+                level += v;
+            }
+            if level != self.steps[self.steps.len() - 1].1 {
+                self.steps.push((t, level));
+            }
+        }
+    }
+
+    /// The decision instant the array was last rebuilt at.
+    fn now(&self) -> f64 {
+        self.steps[0].0
+    }
+
+    /// Total availability at the decision instant.
+    pub fn available_now(&self) -> i64 {
+        self.steps[0].1
+    }
+
+    /// The index of the step starting exactly at `t ≥ now`, splitting the
+    /// step that covers `t` when none does.
+    fn split_at(&mut self, t: f64) -> usize {
+        let i = self.steps.partition_point(|&(u, _)| u < t);
+        if self.steps.get(i).is_none_or(|&(u, _)| u != t) {
+            let level = self.steps[i - 1].1;
+            self.steps.insert(i, (t, level));
+        }
+        i
+    }
+
+    /// Adds `delta` to the level over `[start, end)`, with `start` clamped
+    /// to the decision instant; `end` may be `f64::INFINITY`.
+    fn add(&mut self, start: f64, end: f64, delta: i64) {
+        let start = start.max(self.now());
+        if end <= start {
+            return;
+        }
+        let lo = self.split_at(start);
+        let hi = if end.is_finite() {
+            self.split_at(end)
+        } else {
+            self.steps.len()
+        };
+        for step in &mut self.steps[lo..hi] {
+            step.1 += delta;
+        }
+    }
+
+    /// Books `qubits` over `[start, end)`: later queries see the reduced
+    /// availability inside the interval.
+    pub fn book(&mut self, start: f64, end: f64, qubits: u64) {
+        self.add(start, end, -(qubits as i64));
+    }
+
+    /// Exactly reverses a [`LevelArray::book`] with the same arguments
+    /// (lifting one booking out while every other stays in force).
+    pub fn unbook(&mut self, start: f64, end: f64, qubits: u64) {
+        self.add(start, end, qubits as i64);
+    }
+
+    /// The first instant `≥ now` at which `demand` qubits stay available
+    /// for the whole `duration` — a conservative start reservation.
+    /// `f64::INFINITY` when no such interval exists in the projection. A
+    /// zero `duration` gives the first instant the demand fits at all.
+    pub fn earliest_slot(&self, demand: u64, duration: f64) -> f64 {
+        let demand = demand as i64;
+        let mut candidate = f64::INFINITY;
+        for &(t, level) in &self.steps {
+            if candidate.is_finite() && t >= candidate + duration {
+                // The run held through the full duration.
+                return candidate;
+            }
+            if level < demand {
+                candidate = f64::INFINITY;
+            } else if !candidate.is_finite() {
+                candidate = t;
+            }
+        }
+        // Past the last step availability is flat forever.
+        candidate
+    }
+}
+
+impl ReleaseSink for LevelArray {
+    fn withdraw_now(&mut self, qubits: u64) {
+        self.add(self.now(), f64::INFINITY, -(qubits as i64));
+    }
+
+    fn add_release(&mut self, at: f64, qubits: u64) {
+        self.add(at, f64::INFINITY, qubits as i64);
     }
 }
 
@@ -557,7 +637,7 @@ impl<'a> MergedDeltas<'a> {
 /// instant (the graceful drain). Shared by the EASY and conservative
 /// paths.
 pub fn project_dispatch_releases(
-    timeline: &mut CapacityTimeline,
+    sink: &mut impl ReleaseSink,
     state: &CloudState,
     calendar: &MaintenanceCalendar,
     job: &crate::job::QJob,
@@ -572,7 +652,7 @@ pub fn project_dispatch_releases(
     for &(dev, amt) in parts {
         let at = now + state.hold_seconds(job, dev, k, max_exec);
         let at = calendar.next_online_from(dev.index(), at);
-        timeline.add_release(at, amt);
+        sink.add_release(at, amt);
     }
 }
 
@@ -614,6 +694,12 @@ mod tests {
         tl
     }
 
+    fn levels(profile: &AvailabilityProfile, booked: &[(f64, f64, u64)]) -> LevelArray {
+        let mut la = LevelArray::new();
+        la.rebuild(profile, booked.iter().copied());
+        la
+    }
+
     #[test]
     fn idle_fleet_fits_immediately() {
         let st = state(&[100, 100]);
@@ -621,7 +707,7 @@ mod tests {
         let tl = timeline_at(st.now());
         assert_eq!(p.available_now(), 200);
         assert_eq!(tl.earliest_fit(p, 150), 0.0);
-        assert_eq!(tl.earliest_slot(p, 200, 1e6), 0.0);
+        assert_eq!(levels(p, &[]).earliest_slot(200, 1e6), 0.0);
         assert!(tl.earliest_fit(p, 201).is_infinite());
     }
 
@@ -655,9 +741,10 @@ mod tests {
         assert_eq!(tl.earliest_fit(st.profile(), 150), 0.0);
         // A 150-qubit job cannot hold through the window: the earliest
         // slot long enough starts at the window close.
-        assert_eq!(tl.earliest_slot(st.profile(), 150, 15.0), 30.0);
+        let la = levels(st.profile(), &[]);
+        assert_eq!(la.earliest_slot(150, 15.0), 30.0);
         // A short job fits before the window.
-        assert_eq!(tl.earliest_slot(st.profile(), 150, 5.0), 0.0);
+        assert_eq!(la.earliest_slot(150, 5.0), 0.0);
     }
 
     #[test]
@@ -695,16 +782,19 @@ mod tests {
     #[test]
     fn reservations_push_later_slots_out() {
         let st = state(&[100]);
-        let p = st.profile();
-        let mut tl = timeline_at(st.now());
         // Book 80 qubits over [0, 50): a 30-qubit job must wait.
-        tl.reserve(0.0, 50.0, 80);
-        assert_eq!(tl.earliest_slot(p, 30, 10.0), 50.0);
+        let mut la = levels(st.profile(), &[]);
+        la.book(0.0, 50.0, 80);
+        assert_eq!(la.earliest_slot(30, 10.0), 50.0);
         // 20 still fit alongside the reservation.
-        assert_eq!(tl.earliest_slot(p, 20, 10.0), 0.0);
+        assert_eq!(la.earliest_slot(20, 10.0), 0.0);
         // Booking those too fills the machine until t = 50.
-        tl.reserve(0.0, 50.0, 20);
-        assert_eq!(tl.earliest_slot(p, 1, 1.0), 50.0);
+        la.book(0.0, 50.0, 20);
+        assert_eq!(la.earliest_slot(1, 1.0), 50.0);
+        // Lifting one booking out restores its share exactly.
+        la.unbook(0.0, 50.0, 80);
+        assert_eq!(la.available_now(), 80);
+        assert_eq!(la.earliest_slot(80, 100.0), 0.0);
     }
 
     #[test]
@@ -716,31 +806,41 @@ mod tests {
         tl.add_release(40.0, 70);
         assert_eq!(tl.available_now(p), 30);
         assert_eq!(tl.earliest_fit(p, 100), 40.0);
-        assert_eq!(tl.earliest_slot(p, 100, 10.0), 40.0);
+
+        let mut la = levels(p, &[]);
+        la.withdraw_now(70);
+        la.add_release(40.0, 70);
+        assert_eq!(la.available_now(), 30);
+        assert_eq!(la.earliest_slot(100, 0.0), 40.0);
+        assert_eq!(la.earliest_slot(100, 10.0), 40.0);
+        // A release due at or before the decision instant counts now.
+        la.add_release(0.0, 5);
+        assert_eq!(la.available_now(), 35);
     }
 
     #[test]
-    fn ledger_persists_across_decides_and_folds_with_time() {
-        let st = state(&[100]);
-        let p = st.profile();
-        let mut tl = CapacityTimeline::new();
-        tl.begin_decide(0.0);
-        tl.reserve_interval(10.0, 30.0, 60);
-        assert_eq!(tl.earliest_slot(p, 50, 25.0), 30.0);
-        // A new decision at t = 20: the booking's start has passed, so its
-        // weight moves into the instantaneous pool (the seed re-applied it
-        // clamped to now — identical arithmetic).
-        tl.begin_decide(20.0);
-        assert_eq!(tl.available_now(p), 40);
-        assert_eq!(tl.earliest_fit(p, 100), 30.0);
-        // Unbooking with clamped args restores the pool exactly.
-        tl.unreserve_interval(20.0, 30.0, 60);
-        assert_eq!(tl.available_now(p), 100);
-        // A decision past the booking's whole span: everything folded, net
-        // zero left behind.
-        tl.begin_decide(40.0);
-        assert_eq!(tl.available_now(p), 100);
-        assert_eq!(tl.earliest_fit(p, 100), 40.0);
+    fn rebuild_clamps_bookings_to_the_decision_instant() {
+        let mut st = state(&[100]);
+        let off = OfflineFlags::new(1);
+        let booked = [(10.0, 30.0, 60)];
+        st.refresh(0.0, &off);
+        let la = levels(st.profile(), &booked);
+        assert_eq!(la.now(), 0.0);
+        assert_eq!(la.earliest_slot(50, 25.0), 30.0);
+        // A decision at t = 20: the booking's start has passed, so its
+        // weight sits on the instantaneous pool until it ends.
+        st.refresh(20.0, &off);
+        let mut la = levels(st.profile(), &booked);
+        assert_eq!(la.available_now(), 40);
+        assert_eq!(la.earliest_slot(100, 0.0), 30.0);
+        // Lifting it with its stored arguments restores the pool exactly.
+        la.unbook(10.0, 30.0, 60);
+        assert_eq!(la.available_now(), 100);
+        // A decision past the booking's whole span: nothing left of it.
+        st.refresh(40.0, &off);
+        let la = levels(st.profile(), &booked);
+        assert_eq!(la.available_now(), 100);
+        assert_eq!(la.earliest_slot(100, 1e9), 40.0);
     }
 
     #[test]

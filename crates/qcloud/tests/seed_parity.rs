@@ -17,11 +17,14 @@
 //! full `f64` bit precision (FNV-1a over `to_bits`), so any divergence in
 //! dispatch order, device choice, or timing arithmetic fails loudly.
 
-use qcs_calibration::ibm_fleet;
+use qcs_calibration::{ibm_fleet, regional_fleet};
 use qcs_qcloud::jobgen::{batch_at_zero, bimodal_arrivals, poisson_arrivals};
 use qcs_qcloud::policies::{by_name, scheduler_by_name};
 use qcs_qcloud::records::JobRecord;
-use qcs_qcloud::{FifoAdapter, JobDistribution, QCloudSimEnv, QJob, SimParams, SnapshotAdapter};
+use qcs_qcloud::{
+    FaultScript, FifoAdapter, JobDistribution, MaintenanceWindow, QCloudSimEnv, QJob, RetryPolicy,
+    SimParams, SnapshotAdapter,
+};
 
 fn fingerprint(records: &[JobRecord]) -> u64 {
     let mut h: u64 = 0xcbf29ce484222325;
@@ -284,6 +287,100 @@ fn conservative_backfill_bimodal_fingerprints_pinned() {
             fingerprint(&res.records),
             golden,
             "{spec}: conservative dispatch stream changed on the pinned scenario"
+        );
+    }
+}
+
+/// Two maintenance windows `(device, start, duration)` plus one
+/// unplanned crash `(device, at, down_for)` on a device no window touches.
+type Faults = ([(usize, f64, f64); 2], (usize, f64, f64));
+
+/// Runs `conservative+speed` on `fleet` / `jobs` (seed 7), optionally
+/// with `faults` injected.
+fn conservative_run(
+    fleet: Vec<qcs_calibration::DeviceProfile>,
+    jobs: Vec<QJob>,
+    faults: Option<Faults>,
+) -> qcs_qcloud::simenv::RunResult {
+    let mut env = QCloudSimEnv::with_scheduler(
+        fleet,
+        scheduler_by_name("conservative+speed", 7, 1).expect("known spec"),
+        jobs,
+        SimParams::default(),
+        7,
+    );
+    if let Some((windows, (device, at, down_for))) = faults {
+        for (device, start, duration) in windows {
+            env.schedule_maintenance(MaintenanceWindow {
+                device,
+                start,
+                duration,
+            });
+        }
+        env.install_faults(
+            FaultScript::new(7).with_crash(device, at, down_for),
+            RetryPolicy::default(),
+            None,
+        );
+    }
+    env.run()
+}
+
+/// Golden fingerprints for conservative backfilling on queues deeper than
+/// its 64-job re-slotting horizon, so jobs past the horizon carry standing
+/// bookings across decisions. Captured before the reservation timeline
+/// moved from a persistent booking ledger to the per-decision flat array;
+/// any change to the timeline that moves a single dispatch fails here.
+///
+/// * `deep500` / `deep500_faults` — 500 jobs at t = 0 on the 120-device
+///   fleet (24 five-device regions flattened into one domain), bare and
+///   with two maintenance windows plus one crash.
+/// * `wide150_faults` — 150 jobs of 300–600 qubits on the 5-device fleet
+///   with two windows and one crash: while device 0 is down the fleet
+///   cannot hold the widest jobs anywhere, so their re-slot finds no slot
+///   and the standing booking is kept in force.
+#[test]
+fn conservative_deep_queue_fingerprints_pinned() {
+    let fleet_120 = || regional_fleet(24, 7).into_iter().flatten().collect();
+    let deep = || batch_at_zero(500, &JobDistribution::default(), 7);
+    let wide = JobDistribution {
+        qubits: (300, 600),
+        ..JobDistribution::default()
+    };
+    let cases = [
+        (
+            "deep500",
+            conservative_run(fleet_120(), deep(), None),
+            0xfff2a9e6eed02666u64,
+        ),
+        (
+            "deep500_faults",
+            conservative_run(
+                fleet_120(),
+                deep(),
+                Some((
+                    [(3, 600.0, 400.0), (57, 1_500.0, 800.0)],
+                    (90, 1_000.0, 500.0),
+                )),
+            ),
+            0xcaa4592f5771b853,
+        ),
+        (
+            "wide150_faults",
+            conservative_run(
+                ibm_fleet(7),
+                batch_at_zero(150, &wide, 7),
+                Some(([(1, 300.0, 200.0), (3, 900.0, 300.0)], (0, 500.0, 300.0))),
+            ),
+            0xc34f0441b106e80c,
+        ),
+    ];
+    for (name, res, golden) in cases {
+        assert_eq!(res.summary.jobs_unfinished, 0, "{name}");
+        assert_eq!(
+            fingerprint(&res.records),
+            golden,
+            "{name}: deep-queue conservative dispatch stream changed"
         );
     }
 }

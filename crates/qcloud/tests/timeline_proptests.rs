@@ -10,12 +10,16 @@
 //!   code paths share the per-device replay, and this test proves the
 //!   bookkeeping around it (aggregate delta maps, fold-on-advance, flag
 //!   transitions) never drifts.
-//! * **Queries ≡ brute force** — [`CapacityTimeline::earliest_fit`] /
-//!   [`CapacityTimeline::earliest_slot`] / `available_now` over a random
-//!   state plus random persistent bookings agree with a first-principles
-//!   evaluator that materialises the availability step function from the
-//!   public lease table, maintenance calendar, offline flags and booking
-//!   list — independent of the merged-delta implementation.
+//! * **Queries ≡ brute force** — [`LevelArray::earliest_slot`] /
+//!   `available_now` over a random state plus random standing bookings,
+//!   and [`CapacityTimeline::earliest_fit`] over the bare profile, agree
+//!   with a first-principles evaluator that materialises the availability
+//!   step function from the public lease table, maintenance calendar,
+//!   offline flags and booking list — independent of both
+//!   implementations.
+//! * **Patches ≡ brute force** — after a rebuild, random interleaved
+//!   re-book / lift / withdraw / release patches on the [`LevelArray`]
+//!   keep every slot query equal to the evaluator's answer.
 //!
 //! The bit-identical complement (the full simulation's golden
 //! fingerprints) lives in `tests/seed_parity.rs`, `tests/chaos_proptests.rs`
@@ -23,7 +27,9 @@
 
 use proptest::prelude::*;
 use qcs_qcloud::maintenance::OfflineFlags;
-use qcs_qcloud::sched::{AvailabilityProfile, CapacityTimeline, CloudState, DeviceSpec};
+use qcs_qcloud::sched::{
+    AvailabilityProfile, CapacityTimeline, CloudState, DeviceSpec, LevelArray, ReleaseSink,
+};
 use qcs_qcloud::{DeviceId, JobId, MaintenanceWindow, QJob, SimParams};
 
 fn specs(caps: &[u64]) -> Vec<DeviceSpec> {
@@ -121,6 +127,76 @@ fn change_points(st: &CloudState, bookings: &[(f64, f64, u64)], now: f64) -> Vec
     ts
 }
 
+/// Net qubits a decision batch moved at instant `t`: every withdrawal
+/// counts from `now`, every release from its time (clamped to `now`).
+fn bruteforce_batch(withdrawn: u64, releases: &[(f64, u64)], now: f64, t: f64) -> i64 {
+    let back: u64 = releases
+        .iter()
+        .filter(|&&(at, _)| at.max(now) <= t)
+        .map(|&(_, q)| q)
+        .sum();
+    back as i64 - withdrawn as i64
+}
+
+/// The earliest slot by definition: the first change point where `avail`
+/// covers `demand` and keeps covering it at every change point inside the
+/// next `dur` seconds.
+fn bruteforce_slot(points: &[f64], avail: impl Fn(f64) -> i64, demand: u64, dur: f64) -> f64 {
+    points
+        .iter()
+        .copied()
+        .find(|&t| {
+            avail(t) >= demand as i64
+                && points
+                    .iter()
+                    .all(|&u| !(u > t && u < t + dur) || avail(u) >= demand as i64)
+        })
+        .unwrap_or(f64::INFINITY)
+}
+
+/// A random state at decision instant `now`: `caps` devices, maintenance
+/// `windows`, at most one crashed device, and `reserves` dispatched at
+/// t = 0. Flags track the calendar (a crash persists across `now`).
+fn random_state(
+    caps: &[u64],
+    windows: &[(usize, f64, f64)],
+    reserves: &[(u64, u64)],
+    crash_sel: usize,
+    now: f64,
+) -> CloudState {
+    let n = caps.len();
+    // `crash_sel` < 8 crashes one device; higher values crash none.
+    let crash = (crash_sel < 8).then_some(crash_sel);
+    let mut st = CloudState::new(&specs(caps), &SimParams::default());
+    for &(d, start, duration) in windows {
+        st.add_maintenance_window(MaintenanceWindow {
+            device: d % n,
+            start,
+            duration,
+        });
+    }
+    let flags = OfflineFlags::new(n);
+    for di in 0..n {
+        let crashed = crash.map(|c| c % n) == Some(di);
+        flags.set_offline(di, crashed || st.maintenance().active_at(di, 0.0) > 0);
+    }
+    st.refresh(0.0, &flags);
+    let mut id = 0u64;
+    for &(q, _) in reserves {
+        if let Some(parts) = greedy_parts(&st, q) {
+            st.reserve(&job(id, q), &parts, 0.0);
+            id += 1;
+        }
+    }
+    // Advance to the decision instant.
+    for di in 0..n {
+        let crashed = crash.map(|c| c % n) == Some(di);
+        flags.set_offline(di, crashed || st.maintenance().active_at(di, now) > 0);
+    }
+    st.refresh(now, &flags);
+    st
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
@@ -211,7 +287,7 @@ proptest! {
         }
     }
 
-    /// Timeline queries over a random state plus random persistent
+    /// Timeline queries over a random state plus random standing
     /// bookings agree with the first-principles step-function evaluator.
     #[test]
     fn timeline_queries_match_bruteforce(
@@ -226,57 +302,25 @@ proptest! {
         demand in 1u64..400,
         dur in 1.0f64..150.0,
     ) {
-        let n = caps.len();
-        // `crash_sel` < 8 crashes one device; higher values crash none.
-        let crash = (crash_sel < 8).then_some(crash_sel);
-        let mut st = CloudState::new(&specs(&caps), &SimParams::default());
-        for &(d, start, duration) in &windows {
-            st.add_maintenance_window(MaintenanceWindow {
-                device: d % n,
-                start,
-                duration,
-            });
-        }
-        let flags = OfflineFlags::new(n);
-        for di in 0..n {
-            let crashed = crash.map(|c| c % n) == Some(di);
-            flags.set_offline(di, crashed || st.maintenance().active_at(di, 0.0) > 0);
-        }
-        st.refresh(0.0, &flags);
-        let mut id = 0u64;
-        for &(q, _) in &reserves {
-            if let Some(parts) = greedy_parts(&st, q) {
-                st.reserve(&job(id, q), &parts, 0.0);
-                id += 1;
-            }
-        }
-        // Advance to the decision instant; flags track the calendar (a
-        // crash persists across it).
-        for di in 0..n {
-            let crashed = crash.map(|c| c % n) == Some(di);
-            flags.set_offline(di, crashed || st.maintenance().active_at(di, now) > 0);
-        }
-        st.refresh(now, &flags);
+        let st = random_state(&caps, &windows, &reserves, crash_sel, now);
         prop_assert_eq!(st.profile(), &AvailabilityProfile::from_state(&st));
 
-        let mut tl = CapacityTimeline::new();
-        tl.begin_decide(now);
         let booked: Vec<(f64, f64, u64)> = bookings
             .iter()
             .map(|&(s, d, q)| (s, s + d, q))
             .collect();
-        for &(s, e, q) in &booked {
-            tl.reserve_interval(s.max(now), e, q);
-        }
         let p = st.profile();
+        let mut la = LevelArray::new();
+        la.rebuild(p, booked.iter().copied());
 
         let avail =
             |t: f64| bruteforce_available(&st, now, t) - bruteforce_booked(&booked, now, t);
         let points = change_points(&st, &booked, now);
 
-        prop_assert_eq!(tl.available_now(p), avail(now));
+        prop_assert_eq!(la.available_now(), avail(now));
 
-        let fit = tl.earliest_fit(p, demand);
+        // A zero-duration slot is the first instant the demand fits.
+        let fit = la.earliest_slot(demand, 0.0);
         let expect_fit = points
             .iter()
             .copied()
@@ -284,25 +328,16 @@ proptest! {
             .unwrap_or(f64::INFINITY);
         prop_assert_eq!(fit, expect_fit, "earliest_fit(demand={})", demand);
 
-        let slot = tl.earliest_slot(p, demand, dur);
-        let expect_slot = points
-            .iter()
-            .copied()
-            .find(|&t| {
-                avail(t) >= demand as i64
-                    && points
-                        .iter()
-                        .all(|&u| !(u > t && u < t + dur) || avail(u) >= demand as i64)
-            })
-            .unwrap_or(f64::INFINITY);
+        let slot = la.earliest_slot(demand, dur);
+        let expect_slot = bruteforce_slot(&points, avail, demand, dur);
         prop_assert_eq!(slot, expect_slot, "earliest_slot(demand={}, dur={})", demand, dur);
 
-        // The booking ledger cancels exactly: lifting every booking out
-        // restores the bare-profile projection.
+        // Bookings cancel exactly: lifting every booking out restores the
+        // bare-profile projection, which EASY's overlay view answers too.
         for &(s, e, q) in &booked {
-            tl.unreserve_interval(s.max(now), e, q);
+            la.unbook(s, e, q);
         }
-        prop_assert_eq!(tl.available_now(p), bruteforce_available(&st, now, now));
+        prop_assert_eq!(la.available_now(), bruteforce_available(&st, now, now));
         let empty: Vec<(f64, f64, u64)> = Vec::new();
         let bare = change_points(&st, &empty, now);
         let bare_fit = bare
@@ -310,7 +345,87 @@ proptest! {
             .copied()
             .find(|&t| bruteforce_available(&st, now, t) >= demand as i64)
             .unwrap_or(f64::INFINITY);
+        prop_assert_eq!(la.earliest_slot(demand, 0.0), bare_fit);
+        let mut tl = CapacityTimeline::new();
+        tl.begin_decide(now);
+        prop_assert_eq!(tl.available_now(p), bruteforce_available(&st, now, now));
         prop_assert_eq!(tl.earliest_fit(p, demand), bare_fit);
+    }
+
+    /// After a rebuild, random interleaved patches — re-booking a standing
+    /// reservation elsewhere, lifting one, withdrawing an admitted
+    /// dispatch, projecting a release — keep every slot query equal to the
+    /// evaluator over the patched booking list and batch.
+    #[test]
+    fn patched_level_array_matches_bruteforce(
+        caps in proptest::collection::vec(16u64..=127, 2..5),
+        windows in proptest::collection::vec(
+            (0usize..8, 1.0f64..200.0, 5.0f64..100.0), 0..3),
+        reserves in proptest::collection::vec((1u64..150, 0u64..64), 0..5),
+        bookings in proptest::collection::vec(
+            (0.0f64..200.0, 1.0f64..100.0, 1u64..100), 0..6),
+        patches in proptest::collection::vec(
+            (0u8..4, 0usize..8, 0.0f64..250.0, 0.0f64..100.0, 1u64..100), 1..12),
+        crash_sel in 0usize..16,
+        now in 0.0f64..50.0,
+        queries in proptest::collection::vec((1u64..400, 0.0f64..150.0), 1..4),
+    ) {
+        let st = random_state(&caps, &windows, &reserves, crash_sel, now);
+        let mut booked: Vec<(f64, f64, u64)> = bookings
+            .iter()
+            .map(|&(s, d, q)| (s, s + d, q))
+            .collect();
+        let mut la = LevelArray::new();
+        la.rebuild(st.profile(), booked.iter().copied());
+        let mut withdrawn = 0u64;
+        let mut releases: Vec<(f64, u64)> = Vec::new();
+
+        for (op, sel, t, d, q) in patches {
+            match op {
+                0 if !booked.is_empty() => {
+                    // Re-book: lift a standing booking, book it elsewhere
+                    // (a start before `now` counts from `now`).
+                    let i = sel % booked.len();
+                    let (s, e, bq) = booked[i];
+                    la.unbook(s, e, bq);
+                    booked[i] = (t, t + d, bq);
+                    la.book(t, t + d, bq);
+                }
+                1 if !booked.is_empty() => {
+                    // Lift a booking for good (its job was admitted).
+                    let (s, e, bq) = booked.swap_remove(sel % booked.len());
+                    la.unbook(s, e, bq);
+                }
+                2 => {
+                    la.withdraw_now(q);
+                    withdrawn += q;
+                }
+                _ => {
+                    // A release at or before `now` counts from `now`.
+                    let at = now + t - 50.0;
+                    la.add_release(at, q);
+                    releases.push((at, q));
+                }
+            }
+
+            let avail = |t: f64| {
+                bruteforce_available(&st, now, t) - bruteforce_booked(&booked, now, t)
+                    + bruteforce_batch(withdrawn, &releases, now, t)
+            };
+            let mut points = change_points(&st, &booked, now);
+            points.extend(releases.iter().map(|&(at, _)| at.max(now)));
+            points.sort_by(f64::total_cmp);
+            points.dedup();
+
+            prop_assert_eq!(la.available_now(), avail(now));
+            for &(demand, dur) in &queries {
+                prop_assert_eq!(
+                    la.earliest_slot(demand, dur),
+                    bruteforce_slot(&points, avail, demand, dur),
+                    "earliest_slot(demand={}, dur={})", demand, dur
+                );
+            }
+        }
     }
 }
 
