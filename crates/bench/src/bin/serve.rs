@@ -17,12 +17,12 @@
 //! Output: per-shard ASCII table + service report on stdout, plus
 //! `results/service.csv` (one row per shard and a `service` total row).
 
-use qcs_bench::cli::{arg, flag};
+use qcs_bench::cli::{arg, flag, usage_error};
 use qcs_bench::runner::results_dir;
 use qcs_bench::table::AsciiTable;
 use qcs_calibration::regional_fleet;
 use qcs_qcloud::jobgen::diurnal_arrivals;
-use qcs_qcloud::policies::scheduler_by_name;
+use qcs_qcloud::policies::SchedSpec;
 use qcs_qcloud::{
     AdmissionPolicy, ParallelServiceHarness, RoutingPolicy, ServiceConfig, ServiceHarness,
     SimParams,
@@ -31,8 +31,12 @@ use qcs_qcloud::{
 fn main() {
     let n_jobs: usize = arg("--jobs", 1000);
     let regions: usize = arg("--regions", 1);
+    if regions == 0 {
+        usage_error("--regions", "needs at least one region");
+    }
     let seed: u64 = arg("--seed", 42);
-    let spec: String = arg("--spec", "backfill+speed".to_string());
+    let default_spec: SchedSpec = "backfill+speed".parse().expect("valid default spec");
+    let spec: SchedSpec = arg("--spec", default_spec);
     let rate: f64 = arg("--rate", 0.05);
     let amplitude: f64 = arg("--amplitude", 0.8);
     let period: f64 = arg("--period", 3600.0);
@@ -60,13 +64,10 @@ fn main() {
         amplitude * 100.0
     );
 
-    let spec_for_factory = spec.clone();
     let outcome = if threads > 1 {
         ParallelServiceHarness::new(
             regional_fleet(regions, seed),
-            move |_region| {
-                scheduler_by_name(&spec_for_factory, seed, 1).expect("known scheduler spec")
-            },
+            move |_region| spec.build(seed, 1),
             jobs,
             SimParams::default(),
             config,
@@ -77,9 +78,7 @@ fn main() {
     } else {
         ServiceHarness::new(
             regional_fleet(regions, seed),
-            move |_region| {
-                scheduler_by_name(&spec_for_factory, seed, 1).expect("known scheduler spec")
-            },
+            move |_region| spec.build(seed, 1),
             jobs,
             SimParams::default(),
             config,

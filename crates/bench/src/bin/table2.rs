@@ -15,12 +15,11 @@
 //! The RL row requires a trained policy; the binary trains one (caching it
 //! in `results/rl_policy.json`) unless `--no-cache` is passed.
 
-use qcs_bench::cli::arg;
-use qcs_bench::cli::flag;
+use qcs_bench::cli::{arg, faults_arg, flag};
 use qcs_bench::runner::{results_dir, run_strategies_with_faults, table2_strategies, StrategySpec};
 use qcs_bench::table::AsciiTable;
 use qcs_bench::train::train_allocation_policy;
-use qcs_qcloud::{FaultScript, GymConfig, SimParams};
+use qcs_qcloud::{GymConfig, SimParams};
 use qcs_workload::suite::paper_case_study;
 
 fn print_help() {
@@ -46,9 +45,7 @@ fn main() {
     let timesteps: u64 = arg("--timesteps", 100_000);
     let no_cache = flag("--no-cache");
     let strategies: String = arg("--strategies", "speed,fidelity,fair,rl".to_string());
-    let faults = arg("--faults", String::new());
-    let faults = (!faults.is_empty())
-        .then(|| FaultScript::parse(&faults).unwrap_or_else(|e| panic!("bad --faults spec: {e}")));
+    let faults = faults_arg();
     let wants_rl = StrategySpec::list_wants_rl(&strategies);
 
     let dir = results_dir();

@@ -1,23 +1,50 @@
 //! Minimal CLI parsing shared by the bench bins and the repository
 //! examples (one copy instead of one per binary).
 
+use qcs_qcloud::{FaultScript, RetryPolicy};
+use std::fmt::Display;
+use std::str::FromStr;
+
 /// Parses `--name value` from `std::env::args`, or `default` when the
 /// flag is absent. A flag given without a value, or with one that does
-/// not parse as `T`, is a usage error: the message names the flag and the
-/// process exits with status 2.
-pub fn arg<T: std::str::FromStr>(name: &str, default: T) -> T {
+/// not parse as `T`, is a usage error: the message names the flag and
+/// carries the parser's own explanation, and the process exits with
+/// status 2.
+pub fn arg<T: FromStr>(name: &str, default: T) -> T
+where
+    T::Err: Display,
+{
     let args: Vec<String> = std::env::args().collect();
-    parse_arg(&args, name, default).unwrap_or_else(|e| {
-        eprintln!("error: {e}");
-        std::process::exit(2)
-    })
+    parse_arg(&args, name, default).unwrap_or_else(|e| exit_usage(&e))
+}
+
+/// Parses `--faults SPEC` in the [`FaultScript::parse`] grammar; `None`
+/// when the flag is absent or empty. A spec that does not parse is a
+/// usage error, reported like [`arg`]'s.
+pub fn faults_arg() -> Option<(FaultScript, RetryPolicy)> {
+    let args: Vec<String> = std::env::args().collect();
+    parse_faults(&args).unwrap_or_else(|e| exit_usage(&e))
+}
+
+/// Prints `error: <flag>: <message>` and exits with status 2: for values
+/// that parse but are out of range (e.g. `--regions 0`).
+pub fn usage_error(name: &str, message: impl Display) -> ! {
+    exit_usage(&format!("{name}: {message}"))
+}
+
+fn exit_usage(message: &str) -> ! {
+    eprintln!("error: {message}");
+    std::process::exit(2)
 }
 
 /// The pure parser behind [`arg`]: looks `name` up in `args` (the first
 /// occurrence counts) and parses the value that follows it. `Ok(default)`
 /// when the flag is absent; `Err` naming the flag when its value is
 /// missing or does not parse.
-fn parse_arg<T: std::str::FromStr>(args: &[String], name: &str, default: T) -> Result<T, String> {
+fn parse_arg<T: FromStr>(args: &[String], name: &str, default: T) -> Result<T, String>
+where
+    T::Err: Display,
+{
     let Some(i) = args.iter().position(|a| a == name) else {
         return Ok(default);
     };
@@ -26,7 +53,18 @@ fn parse_arg<T: std::str::FromStr>(args: &[String], name: &str, default: T) -> R
         .ok_or_else(|| format!("{name} needs a value"))?;
     value
         .parse()
-        .map_err(|_| format!("{name}: cannot parse {value:?}"))
+        .map_err(|e| format!("{name}: cannot parse {value:?}: {e}"))
+}
+
+/// The pure parser behind [`faults_arg`].
+fn parse_faults(args: &[String]) -> Result<Option<(FaultScript, RetryPolicy)>, String> {
+    let spec: String = parse_arg(args, "--faults", String::new())?;
+    if spec.is_empty() {
+        return Ok(None);
+    }
+    FaultScript::parse(&spec)
+        .map(Some)
+        .map_err(|e| format!("--faults: cannot parse {spec:?}: {e}"))
 }
 
 /// Whether a bare `--name` flag is present.
@@ -90,6 +128,40 @@ mod tests {
         // A following flag is not a value either.
         let args = argv(&["bin", "--jobs", "--seed", "7"]);
         assert!(parse_arg(&args, "--jobs", 300usize).is_err());
+    }
+
+    #[test]
+    fn bad_spec_message_lists_the_accepted_tokens() {
+        use qcs_qcloud::policies::SchedSpec;
+        let default: SchedSpec = "backfill+speed".parse().unwrap();
+        let args = argv(&["serve", "--spec", "bogus"]);
+        let err = parse_arg(&args, "--spec", default.clone()).unwrap_err();
+        assert!(err.starts_with("--spec: cannot parse \"bogus\": "), "{err}");
+        assert!(
+            err.contains("unknown placement policy `bogus`") && err.contains("speed, fidelity"),
+            "{err}"
+        );
+        let args = argv(&["serve", "--spec", "conservative+minfrag"]);
+        let spec = parse_arg(&args, "--spec", default).unwrap();
+        assert_eq!(spec.to_string(), "conservative+minfrag");
+    }
+
+    #[test]
+    fn bad_fault_spec_is_an_error_naming_the_flag() {
+        let err = parse_faults(&argv(&["queueing", "--faults", "crash:zz"])).unwrap_err();
+        assert!(
+            err.starts_with("--faults: cannot parse \"crash:zz\": ") && err.contains("'@'"),
+            "{err}"
+        );
+        assert!(parse_faults(&argv(&["queueing"])).unwrap().is_none());
+        assert!(parse_faults(&argv(&["queueing", "--faults", ""]))
+            .unwrap()
+            .is_none());
+        let (script, retry) = parse_faults(&argv(&["table2", "--faults", "crash:0@5+3;retries:4"]))
+            .unwrap()
+            .expect("a script");
+        assert_eq!(script.crashes.len(), 1);
+        assert_eq!(retry.max_attempts, 4);
     }
 
     #[test]

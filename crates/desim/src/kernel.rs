@@ -25,7 +25,7 @@
 //! recognised as stale by its generation when popped. Each process has at
 //! most one pending resume event (`pending_ev`), so cancellation is O(1).
 //!
-//! Request parts ride in a [`PartsList`] — a small-vector that keeps the
+//! Request parts ride in a `PartsList` — a small-vector that keeps the
 //! common one- and two-container requests inline, so the blocking path
 //! does not allocate.
 
@@ -36,13 +36,10 @@ use crate::container::{Container, ContainerId};
 use crate::process::{Coroutine, Ctx, Effect, ProcessId, Step};
 use crate::rng::Xoshiro256StarStar;
 use crate::time::SimTime;
-use crate::trace::{TraceBuffer, TraceKind, TraceRecord};
 
 /// Kernel configuration.
 #[derive(Debug, Clone)]
 pub struct SimConfig {
-    /// Trace buffer capacity in records; 0 disables tracing.
-    pub trace_capacity: usize,
     /// Hard cap on processed events, to catch accidental infinite loops.
     pub max_events: u64,
 }
@@ -50,7 +47,6 @@ pub struct SimConfig {
 impl Default for SimConfig {
     fn default() -> Self {
         SimConfig {
-            trace_capacity: 0,
             max_events: u64::MAX,
         }
     }
@@ -291,7 +287,6 @@ pub struct Simulation {
     get_queues: Vec<VecDeque<ReqId>>,
     put_queues: Vec<VecDeque<ReqId>>,
     rng: Xoshiro256StarStar,
-    trace: TraceBuffer,
     events_processed: u64,
     live_processes: usize,
     config: SimConfig,
@@ -323,7 +318,6 @@ impl Simulation {
             get_queues: Vec::new(),
             put_queues: Vec::new(),
             rng: Xoshiro256StarStar::new(seed),
-            trace: TraceBuffer::new(config.trace_capacity),
             events_processed: 0,
             live_processes: 0,
             config,
@@ -361,15 +355,6 @@ impl Simulation {
     #[inline]
     pub fn rng(&mut self) -> &mut Xoshiro256StarStar {
         &mut self.rng
-    }
-
-    /// Collected trace records (empty unless tracing was enabled).
-    pub fn trace(&self) -> &[TraceRecord] {
-        self.trace.records()
-    }
-
-    pub(crate) fn push_trace(&mut self, rec: TraceRecord) {
-        self.trace.push(rec);
     }
 
     // ------------------------------------------------------------------
@@ -481,14 +466,6 @@ impl Simulation {
         self.live_processes += 1;
         let t = self.now.after(delay);
         self.push_event(t, pid);
-        if self.trace.enabled() {
-            let time = self.now();
-            self.push_trace(TraceRecord {
-                time,
-                pid: Some(pid),
-                kind: TraceKind::Spawn,
-            });
-        }
         pid
     }
 
@@ -613,14 +590,6 @@ impl Simulation {
         slot.gen = slot.gen.wrapping_add(1);
         self.proc_free.push(idx as u32);
         self.live_processes -= 1;
-        if self.trace.enabled() {
-            let time = self.now();
-            self.push_trace(TraceRecord {
-                time,
-                pid: Some(pid),
-                kind: TraceKind::Finish,
-            });
-        }
     }
 
     /// Whether `pid`'s interrupted flag is set (does not clear it). Stale
@@ -726,6 +695,33 @@ impl Simulation {
         self.now()
     }
 
+    /// Runs every event at the earliest pending instant — including events
+    /// that instant schedules for itself (wakes, zero-delay timeouts,
+    /// spawns) — and returns `true`; returns `false` when no event is left.
+    /// Stale heap entries left by [`kill`](Self::kill) and
+    /// [`interrupt`](Self::interrupt) are dropped first, so they never
+    /// count as an instant of their own.
+    ///
+    /// This is the ask/tell primitive: between two calls the caller may
+    /// inspect shared state and [`wake`](Self::wake) a process, whose
+    /// resume the next call runs at the unchanged clock.
+    pub fn run_next_instant(&mut self) -> bool {
+        while let Some(Reverse(head)) = self.heap.peek() {
+            if self.events[head.ev as usize].gen == head.gen {
+                break;
+            }
+            self.heap.pop();
+        }
+        let Some(Reverse(head)) = self.heap.peek() else {
+            return false;
+        };
+        let instant = head.time;
+        while self.heap.peek().is_some_and(|Reverse(h)| h.time == instant) {
+            self.step();
+        }
+        true
+    }
+
     /// Runs until the next event would be after `t_end` (or the heap
     /// empties), then sets the clock to `t_end` if it was reached.
     pub fn run_until(&mut self, t_end: f64) -> f64 {
@@ -755,7 +751,7 @@ impl Simulation {
     /// state and [`wake`](Self::wake)/[`spawn`](Self::spawn) at the common
     /// instant `t`, and every kernel stamps those injected events with the
     /// same clock value regardless of where its own event stream ran dry.
-    /// [`run_until`] cannot serve here: it leaves the clock at the last
+    /// [`run_until`](Self::run_until) cannot serve here: it leaves the clock at the last
     /// event time on an empty heap, so two shards paused at the "same"
     /// epoch would disagree about `now`.
     pub fn run_epoch(&mut self, t_end: f64) -> f64 {
@@ -996,22 +992,6 @@ impl Simulation {
             }
         }
         self.procs[pid.index()].state = ProcState::WaitingReq(rid);
-        if self.trace.enabled() {
-            let time = self.now();
-            let containers = self.reqs[rid.0 as usize]
-                .as_ref()
-                .unwrap()
-                .parts
-                .as_slice()
-                .iter()
-                .map(|&(c, _)| c)
-                .collect();
-            self.push_trace(TraceRecord {
-                time,
-                pid: Some(pid),
-                kind: TraceKind::Queued { containers },
-            });
-        }
         false
     }
 
@@ -1104,15 +1084,6 @@ impl Simulation {
         self.procs[pid.index()].state = ProcState::Scheduled;
         let t = self.now;
         self.push_event(t, pid);
-        if self.trace.enabled() {
-            let time = self.now();
-            let containers = parts.as_slice().iter().map(|&(rc, _)| rc).collect();
-            self.push_trace(TraceRecord {
-                time,
-                pid: Some(pid),
-                kind: TraceKind::Granted { containers },
-            });
-        }
         true
     }
 }
@@ -1599,6 +1570,60 @@ mod tests {
     }
 
     #[test]
+    fn run_next_instant_runs_one_instant_and_skips_stale_entries() {
+        let fired = std::sync::Arc::new(std::sync::atomic::AtomicU32::new(0));
+        let mut sim = Simulation::new(3);
+        // Two tickers share the instants 2 and 4; a third fires at 1 but is
+        // killed first, leaving only a stale heap entry at t = 1.
+        for _ in 0..2 {
+            sim.spawn_after(
+                2.0,
+                Box::new(Ticker {
+                    dt: 2.0,
+                    n: 2,
+                    fired: fired.clone(),
+                }),
+            );
+        }
+        let doomed = sim.spawn_after(
+            1.0,
+            Box::new(Ticker {
+                dt: 1.0,
+                n: 1,
+                fired: fired.clone(),
+            }),
+        );
+        assert!(sim.kill(doomed));
+        let count = |f: &std::sync::Arc<std::sync::atomic::AtomicU32>| {
+            f.load(std::sync::atomic::Ordering::SeqCst)
+        };
+        assert!(sim.run_next_instant());
+        assert_eq!(sim.now(), 2.0, "the stale entry at t = 1 is not an instant");
+        assert_eq!(count(&fired), 2, "both tickers ran at t = 2");
+        // A wake at the current instant runs on the next call without
+        // moving the clock.
+        struct Parker;
+        impl Coroutine for Parker {
+            fn resume(&mut self, _cx: &mut Ctx<'_>) -> Step {
+                Step::Wait(Effect::Suspend)
+            }
+        }
+        let parker = sim.spawn(Box::new(Parker));
+        assert!(sim.run_next_instant());
+        assert_eq!(sim.now(), 2.0);
+        assert!(sim.wake(parker));
+        assert!(sim.run_next_instant());
+        assert_eq!(sim.now(), 2.0);
+        assert!(sim.run_next_instant());
+        assert_eq!(sim.now(), 4.0);
+        assert_eq!(count(&fired), 4);
+        assert!(sim.run_next_instant(), "the tickers retire at t = 6");
+        assert_eq!(sim.now(), 6.0);
+        assert!(!sim.run_next_instant(), "only the parked process is left");
+        assert!(sim.kill(parker));
+    }
+
+    #[test]
     fn run_epoch_pins_clock_when_heap_drains() {
         let fired = std::sync::Arc::new(std::sync::atomic::AtomicU32::new(0));
         let mut sim = Simulation::new(9);
@@ -1679,13 +1704,7 @@ mod tests {
     #[should_panic(expected = "max_events")]
     fn max_events_guard_fires() {
         let fired = std::sync::Arc::new(std::sync::atomic::AtomicU32::new(0));
-        let mut sim = Simulation::with_config(
-            1,
-            SimConfig {
-                trace_capacity: 0,
-                max_events: 10,
-            },
-        );
+        let mut sim = Simulation::with_config(1, SimConfig { max_events: 10 });
         sim.spawn(Box::new(Ticker {
             dt: 1.0,
             n: 1000,
@@ -1815,27 +1834,6 @@ mod tests {
         let c = sim.add_container("x", 10, 10);
         sim.spawn(Box::new(Greedy { c }));
         sim.run();
-    }
-
-    #[test]
-    fn tracing_records_lifecycle() {
-        let mut sim = Simulation::with_config(
-            11,
-            SimConfig {
-                trace_capacity: 100,
-                max_events: u64::MAX,
-            },
-        );
-        let fired = std::sync::Arc::new(std::sync::atomic::AtomicU32::new(0));
-        sim.spawn(Box::new(Ticker {
-            dt: 1.0,
-            n: 1,
-            fired,
-        }));
-        sim.run();
-        let kinds: Vec<_> = sim.trace().iter().map(|r| &r.kind).collect();
-        assert!(matches!(kinds[0], TraceKind::Spawn));
-        assert!(matches!(kinds.last().unwrap(), TraceKind::Finish));
     }
 
     #[test]

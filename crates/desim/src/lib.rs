@@ -91,7 +91,6 @@ pub mod rng;
 pub mod stats;
 pub mod store;
 pub mod time;
-pub mod trace;
 
 pub use container::{Container, ContainerId};
 pub use kernel::{EventId, SimConfig, Simulation};
@@ -101,4 +100,3 @@ pub use rng::{SplitMix64, Xoshiro256StarStar};
 pub use stats::{Histogram, TimeWeighted, Welford};
 pub use store::Store;
 pub use time::SimTime;
-pub use trace::{TraceKind, TraceRecord};

@@ -10,7 +10,6 @@
 use crate::container::ContainerId;
 use crate::kernel::Simulation;
 use crate::rng::Xoshiro256StarStar;
-use crate::trace::{TraceKind, TraceRecord};
 
 /// Generation-checked handle to a spawned process within one [`Simulation`].
 ///
@@ -134,7 +133,7 @@ pub trait Coroutine: Send {
     /// completed effect.
     fn resume(&mut self, cx: &mut Ctx<'_>) -> Step;
 
-    /// Optional human-readable label used in traces.
+    /// Optional human-readable label for diagnostics.
     fn label(&self) -> &str {
         "process"
     }
@@ -283,17 +282,6 @@ impl Ctx<'_> {
                 self.sim.deposit(c, amt);
             }
         }
-    }
-
-    /// Emits a trace record (no-op unless tracing is enabled).
-    pub fn trace(&mut self, kind: TraceKind) {
-        let now = self.sim.now();
-        let pid = self.pid;
-        self.sim.push_trace(TraceRecord {
-            time: now,
-            pid: Some(pid),
-            kind,
-        });
     }
 }
 

@@ -58,6 +58,11 @@ impl QCloud {
         self.devices.iter().map(|d| d.capacity()).sum()
     }
 
+    /// Gives the registered profiles back, in device order.
+    pub(crate) fn into_profiles(self) -> Vec<DeviceProfile> {
+        self.devices.into_iter().map(|d| d.profile).collect()
+    }
+
     /// Largest single-device capacity.
     pub fn max_device_capacity(&self) -> u64 {
         self.devices.iter().map(|d| d.capacity()).max().unwrap_or(0)

@@ -33,9 +33,11 @@
 //!   environment of §4.1 (16-dim state, 5-dim continuous action);
 //! * [`rlsched::SchedulerEnv`] — the queue-deep scheduling environment:
 //!   the agent *is* the scheduler, observing the pending-queue window plus
-//!   per-device state and picking which job to dispatch next, with
-//!   [`rlsched::RlSchedScheduler`] deploying trained checkpoints through
-//!   `rl:<path>` specs in every harness.
+//!   per-device state and picking which job to dispatch next. It steps a
+//!   [`simenv::QCloudSimEnv`] one instant at a time, so training runs the
+//!   same simulator loop as every harness; [`rlsched::RlSchedScheduler`]
+//!   applies the picks there and deploys trained checkpoints through
+//!   `rl:<path>` specs.
 
 #![warn(missing_docs)]
 

@@ -1,16 +1,19 @@
-//! Deployment of a trained scheduler policy: the checkpoint format and the
-//! [`Scheduler`] inference adapter that `rl:<path>` specs resolve to when
-//! the checkpoint was trained on [`super::SchedulerEnv`].
+//! The RL [`Scheduler`]: the checkpoint format, and the adapter that acts
+//! on queue picks both when a trained policy is deployed (`rl:<path>`
+//! specs whose checkpoint was trained on [`super::SchedulerEnv`]) and while
+//! the environment trains one.
 
 use super::{argmax, encode_sched_observation_into, SchedObsConfig};
 use crate::broker::{AllocationPlan, Broker, CloudView};
 use crate::job::QJob;
 use crate::policies::Placement;
 use crate::sched::{CloudState, Dispatch, Scheduler, SchedulingDecision, WaitReason};
+use parking_lot::Mutex;
 use qcs_rl::policy::{ActScratch, ActorCritic};
 use serde::{Deserialize, Serialize};
 use std::io;
 use std::path::Path;
+use std::sync::Arc;
 
 /// The `kind` tag distinguishing a scheduler-environment checkpoint from a
 /// plain [`ActorCritic`] (gym placement) checkpoint, which has no `kind`
@@ -101,19 +104,54 @@ pub fn try_load_scheduler(path: &str, seed: u64) -> Option<Box<dyn Scheduler>> {
     Some(Box::new(RlSchedScheduler::from_checkpoint(ck, seed)))
 }
 
-/// The inference adapter: runs a [`SchedCheckpoint`] policy as a
-/// queue-aware [`Scheduler`]. Each consult encodes the queue/state
-/// observation exactly as in training, takes the deterministic argmax
-/// action, and either dispatches the picked job through the checkpoint's
-/// placement broker (one dispatch, immediate re-consult — the
-/// single-dispatch adapter pattern) or parks with an honest
-/// [`WaitReason`].
-pub struct RlSchedScheduler {
+/// What one pick did ([`RlSchedScheduler`]'s dispatch rule).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Outcome {
+    /// The picked job dispatched.
+    Picked,
+    /// The pick was a hold, out of range or refused by the broker, and the
+    /// fleet was idle, so the first placeable job dispatched instead.
+    FellBack,
+    /// Nothing dispatched.
+    Held,
+}
+
+/// The training environment's side of the ask/tell seam: the env stores a
+/// pick and wakes the scheduler; the next decide takes the pick and leaves
+/// its [`Outcome`].
+#[derive(Debug, Default)]
+pub(crate) struct PickSlot {
+    pub(crate) pick: Option<usize>,
+    pub(crate) outcome: Option<Outcome>,
+}
+
+/// A trained policy and its inference buffers.
+struct Trained {
     policy: ActorCritic,
-    cfg: SchedObsConfig,
-    broker: Box<dyn Broker>,
     obs: Vec<f32>,
     scratch: ActScratch,
+}
+
+/// Where [`RlSchedScheduler`] gets its picks.
+enum ActionSource {
+    /// A trained policy, consulted on every decide (deployment).
+    Policy(Box<Trained>),
+    /// The training environment's pending pick. A decide with none pending
+    /// holds, so the scheduler coroutine parks until the env asks again.
+    Env(Arc<Mutex<PickSlot>>),
+}
+
+/// The RL scheduler. Each decide takes a pick — from the checkpoint's
+/// policy (deterministic argmax over the same observation encoding as in
+/// training) or from the training environment — and applies one rule:
+/// dispatch the picked job through the placement broker (one dispatch,
+/// immediate re-consult — the single-dispatch adapter pattern), else fall
+/// back to the first placeable job if the fleet is idle, else park with an
+/// honest [`WaitReason`].
+pub struct RlSchedScheduler {
+    source: ActionSource,
+    cfg: SchedObsConfig,
+    broker: Box<dyn Broker>,
     view: CloudView,
     name: String,
 }
@@ -137,13 +175,30 @@ impl RlSchedScheduler {
             ck.obs.action_dim(),
             "checkpoint policy/action dimension mismatch"
         );
-        let obs = vec![0.0f32; ck.obs.obs_dim()];
-        RlSchedScheduler {
+        let source = ActionSource::Policy(Box::new(Trained {
             policy: ck.policy,
-            cfg: ck.obs,
-            broker: placement.build(seed),
-            obs,
+            obs: vec![0.0f32; ck.obs.obs_dim()],
             scratch: ActScratch::new(),
+        }));
+        Self::new(source, ck.obs, &placement, seed)
+    }
+
+    /// The scheduler a training episode runs: it acts only on the picks
+    /// the environment leaves in `slot`.
+    pub(crate) fn for_env(
+        cfg: SchedObsConfig,
+        placement: &Placement,
+        seed: u64,
+        slot: Arc<Mutex<PickSlot>>,
+    ) -> Self {
+        Self::new(ActionSource::Env(slot), cfg, placement, seed)
+    }
+
+    fn new(source: ActionSource, cfg: SchedObsConfig, placement: &Placement, seed: u64) -> Self {
+        RlSchedScheduler {
+            source,
+            cfg,
+            broker: placement.build(seed),
             view: CloudView {
                 devices: Vec::new(),
             },
@@ -151,30 +206,42 @@ impl RlSchedScheduler {
         }
     }
 
-    /// The wait path, with the liveness guard from training: a `Wait` is
-    /// only safe when something in flight will wake the scheduler again.
-    /// With an idle fleet (`state.leases()` empty) only a future arrival
-    /// could, and the adapter cannot see whether one exists — so it falls
-    /// back to dispatching the first broker-placeable job in FIFO order,
-    /// exactly like [`super::SchedulerEnv`]'s idle-fleet fallback. This is
-    /// work-conserving, never worse than deadlock, and keeps the deployed
-    /// policy's semantics identical to the environment it trained in.
-    fn hold_or_fallback(&mut self, queue: &[QJob], state: &CloudState) -> SchedulingDecision {
+    /// The dispatch rule. A hold is only safe when something in flight
+    /// will wake the scheduler again; with an idle fleet
+    /// (`state.leases()` empty) only a future arrival could, and the
+    /// scheduler cannot see whether one exists — so it dispatches the
+    /// first broker-placeable job in FIFO order instead. This is
+    /// work-conserving and never worse than deadlock.
+    fn act(
+        &mut self,
+        pick: usize,
+        queue: &[QJob],
+        state: &CloudState,
+    ) -> (SchedulingDecision, Outcome) {
+        let dispatch = |queue_index, parts| SchedulingDecision {
+            dispatches: vec![Dispatch { queue_index, parts }],
+            // Re-consult immediately: the policy may want to dispatch
+            // several queued jobs back to back before waiting.
+            wait: None,
+        };
+        if pick < self.cfg.queue_slots && pick < queue.len() {
+            state.copy_view_into(&mut self.view);
+            if let AllocationPlan::Dispatch(parts) = self.broker.select(&queue[pick], &self.view) {
+                return (dispatch(pick, parts), Outcome::Picked);
+            }
+        }
         if state.leases().is_empty() {
             state.copy_view_into(&mut self.view);
             for (i, job) in queue.iter().enumerate() {
                 if let AllocationPlan::Dispatch(parts) = self.broker.select(job, &self.view) {
-                    return SchedulingDecision {
-                        dispatches: vec![Dispatch {
-                            queue_index: i,
-                            parts,
-                        }],
-                        wait: None,
-                    };
+                    return (dispatch(i, parts), Outcome::FellBack);
                 }
             }
         }
-        SchedulingDecision::wait(self.wait_reason(queue, state))
+        (
+            SchedulingDecision::wait(self.wait_reason(queue, state)),
+            Outcome::Held,
+        )
     }
 
     /// Why the head job cannot start (mirrors the FIFO adapter's
@@ -201,25 +268,21 @@ impl RlSchedScheduler {
 
 impl Scheduler for RlSchedScheduler {
     fn decide(&mut self, queue: &[QJob], state: &CloudState) -> SchedulingDecision {
-        encode_sched_observation_into(&mut self.obs, queue, state, &self.cfg);
-        let action = self.policy.act_deterministic(&self.obs, &mut self.scratch);
-        let pick = argmax(&action);
-        if pick >= self.cfg.queue_slots || pick >= queue.len() {
-            return self.hold_or_fallback(queue, state);
+        let pick = match &mut self.source {
+            ActionSource::Policy(t) => {
+                encode_sched_observation_into(&mut t.obs, queue, state, &self.cfg);
+                Some(argmax(&t.policy.act_deterministic(&t.obs, &mut t.scratch)))
+            }
+            ActionSource::Env(slot) => slot.lock().pick.take(),
+        };
+        let Some(pick) = pick else {
+            return SchedulingDecision::wait(self.wait_reason(queue, state));
+        };
+        let (decision, outcome) = self.act(pick, queue, state);
+        if let ActionSource::Env(slot) = &self.source {
+            slot.lock().outcome = Some(outcome);
         }
-        state.copy_view_into(&mut self.view);
-        match self.broker.select(&queue[pick], &self.view) {
-            AllocationPlan::Dispatch(parts) => SchedulingDecision {
-                dispatches: vec![Dispatch {
-                    queue_index: pick,
-                    parts,
-                }],
-                // Re-consult immediately: the policy may want to dispatch
-                // several queued jobs back to back before waiting.
-                wait: None,
-            },
-            AllocationPlan::Wait => self.hold_or_fallback(queue, state),
-        }
+        decision
     }
 
     fn name(&self) -> &str {
@@ -322,16 +385,46 @@ mod tests {
         let mut sched = RlSchedScheduler::from_checkpoint(checkpoint(), 0);
         let mut st = state();
         let queue = vec![job(0, 50), job(1, 60)];
+        let hold = SchedObsConfig::default().queue_slots;
         // Nothing in flight: a hold would deadlock the sim, so the adapter
         // must dispatch instead.
-        let d = sched.hold_or_fallback(&queue, &st);
+        let (d, outcome) = sched.act(hold, &queue, &st);
         assert_eq!(d.dispatches.len(), 1, "idle fleet must dispatch");
         assert!(d.wait.is_none());
+        assert_eq!(outcome, Outcome::FellBack);
         // With work in flight a hold is safe: the release will wake us.
         st.reserve(&job(9, 40), &[(crate::device::DeviceId(0), 40)], 0.0);
-        let d = sched.hold_or_fallback(&queue, &st);
+        let (d, outcome) = sched.act(hold, &queue, &st);
         assert!(d.dispatches.is_empty());
         assert_eq!(d.wait, Some(WaitReason::PolicyHold));
+        assert_eq!(outcome, Outcome::Held);
+        // A placeable pick dispatches as picked.
+        let (d, outcome) = sched.act(1, &queue, &st);
+        assert_eq!(d.dispatches[0].queue_index, 1);
+        assert_eq!(outcome, Outcome::Picked);
+    }
+
+    #[test]
+    fn env_source_acts_once_per_pick() {
+        let slot = Arc::new(Mutex::new(PickSlot::default()));
+        let mut sched = RlSchedScheduler::for_env(
+            SchedObsConfig::default(),
+            &Placement::Speed,
+            0,
+            slot.clone(),
+        );
+        let st = state();
+        let queue = vec![job(0, 50), job(1, 60)];
+        // No pick pending: hold, and leave no outcome.
+        let d = sched.decide(&queue, &st);
+        assert!(d.dispatches.is_empty());
+        assert!(slot.lock().outcome.is_none());
+        slot.lock().pick = Some(1);
+        let d = sched.decide(&queue, &st);
+        assert_eq!(d.dispatches[0].queue_index, 1);
+        assert_eq!(slot.lock().outcome.take(), Some(Outcome::Picked));
+        // The pick was consumed: the immediate re-consult holds.
+        assert!(sched.decide(&queue, &st).dispatches.is_empty());
     }
 
     #[test]

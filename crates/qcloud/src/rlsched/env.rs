@@ -1,49 +1,30 @@
-//! The scheduler-loop training environment: an event-driven replay of the
-//! simulation's dispatch/execute/release cycle with the *scheduler decision*
-//! handed to the agent, one queue pick (or wait) per step.
+//! The scheduler-loop training environment: the simulation itself
+//! ([`QCloudSimEnv`]), stepped one decision at a time with the *scheduler
+//! decision* handed to the agent — one queue pick (or wait) per step.
 //!
-//! The environment reuses the production pieces — [`CloudState`] for
-//! reservations/leases/availability, [`JobRecordsManager`] for telemetry,
-//! the closed-form execution/communication/fidelity models — and mirrors
-//! the executor semantics of [`crate::simenv`] exactly: per-part duration
-//! from Eq. 3, job execution as the max over parts, per-device lease
-//! release, blocking classical communication after execution, Eqs. 4–8
-//! fidelity at finish. A policy trained here therefore sees the same
-//! dynamics the harnesses replay.
+//! Each episode builds a [`QCloudSimEnv`] whose scheduler is an
+//! [`RlSchedScheduler`] fed from a [`PickSlot`] instead of a policy. The
+//! env advances the kernel instant by instant
+//! ([`QCloudSimEnv::run_next_instant`]) and asks the agent at instant
+//! boundaries where the queue is non-empty. A step stores the pick, wakes
+//! the parked scheduler coroutine and runs the current instant, so the
+//! pick goes through the same dispatch rule, executor timing, fidelity
+//! arithmetic and lease release that every harness runs: a policy trained
+//! here sees exactly the dynamics it is deployed into.
 
-use super::{
-    argmax, encode_sched_observation_into, episode_objective, RewardWeights, SchedObsConfig,
-};
-use crate::broker::{AllocationPlan, Broker, CloudView};
+use super::adapter::{Outcome, PickSlot};
+use super::{argmax, encode_sched_observation_into, episode_objective, RewardWeights};
+use super::{RlSchedScheduler, SchedObsConfig};
 use crate::config::SimParams;
-use crate::job::{JobId, QJob};
 use crate::jobgen::bimodal_arrivals;
-use crate::maintenance::{MaintenanceWindow, OfflineFlags};
-use crate::model::fidelity::DeviceErrorRates;
+use crate::maintenance::MaintenanceWindow;
 use crate::policies::Placement;
-use crate::records::JobRecordsManager;
-use crate::sched::{CloudState, DeviceSpec};
+use crate::records::JobRecord;
+use crate::simenv::QCloudSimEnv;
+use parking_lot::Mutex;
 use qcs_calibration::DeviceProfile;
 use qcs_rl::env::{Env, StepResult};
-
-/// Static per-device data (capacity, speed, calibration-derived errors).
-#[derive(Debug, Clone)]
-struct DeviceSlot {
-    error_rates: DeviceErrorRates,
-    clops: f64,
-    qv_layers: f64,
-}
-
-/// A dispatched job awaiting its execution-end and finish events.
-#[derive(Debug, Clone)]
-struct Inflight {
-    id: JobId,
-    exec_end: f64,
-    finish: f64,
-    fidelity: f64,
-    comm: f64,
-    exec_done: bool,
-}
+use std::sync::Arc;
 
 /// Episode/workload configuration for [`SchedulerEnv`].
 #[derive(Debug, Clone)]
@@ -89,80 +70,39 @@ impl Default for SchedEnvConfig {
 pub struct SchedulerEnv {
     cfg: SchedEnvConfig,
     params: SimParams,
-    specs: Vec<DeviceSpec>,
-    slots: Vec<DeviceSlot>,
     total_capacity: u64,
-    broker: Box<dyn Broker>,
-    // Episode state.
-    state: CloudState,
-    flags: OfflineFlags,
-    arrivals: Vec<QJob>,
-    next_arrival: usize,
-    pending: Vec<QJob>,
-    inflight: Vec<Inflight>,
-    records: JobRecordsManager,
-    now: f64,
+    /// The fleet between episodes. A reset moves it into the episode's
+    /// simulation and takes it back out of the previous one, so episodes
+    /// never deep-clone the device profiles.
+    profiles: Vec<DeviceProfile>,
+    /// The running episode (`None` before the first reset).
+    sim: Option<QCloudSimEnv>,
+    pick: Arc<Mutex<PickSlot>>,
     prev_objective: f64,
     steps: u64,
     done: bool,
-    // Scratch.
-    view: CloudView,
 }
 
 impl SchedulerEnv {
     /// Builds the environment over `profiles` (typically
     /// [`qcs_calibration::ibm_fleet`]). Panics if the fleet exceeds the
-    /// observation's device slots.
+    /// observation's device slots; a reset panics if a job of its trace
+    /// needs more qubits than the whole fleet has.
     pub fn new(profiles: &[DeviceProfile], params: SimParams, cfg: SchedEnvConfig) -> Self {
         assert!(
             profiles.len() <= cfg.obs.max_devices,
             "more devices than observation slots"
         );
-        let specs: Vec<DeviceSpec> = profiles
-            .iter()
-            .map(|p| DeviceSpec {
-                capacity: p.spec.num_qubits as u64,
-                error_score: p.error_score(&params.error_weights),
-                clops: p.spec.clops,
-                qv_layers: p.spec.qv_layers(),
-            })
-            .collect();
-        let slots: Vec<DeviceSlot> = profiles
-            .iter()
-            .map(|p| DeviceSlot {
-                error_rates: DeviceErrorRates {
-                    single_qubit: p.calibration.avg_rx_error(),
-                    two_qubit: p.calibration.avg_two_qubit_error(),
-                    readout: p.calibration.avg_readout_error(),
-                },
-                clops: p.spec.clops,
-                qv_layers: p.spec.qv_layers(),
-            })
-            .collect();
-        let total_capacity = specs.iter().map(|s| s.capacity).sum();
-        let state = CloudState::new(&specs, &params);
-        let view = state.view().clone();
-        let flags = OfflineFlags::new(specs.len());
-        let broker = cfg.placement.build(0);
         SchedulerEnv {
+            total_capacity: profiles.iter().map(|p| p.spec.num_qubits as u64).sum(),
             cfg,
             params,
-            specs,
-            slots,
-            total_capacity,
-            broker,
-            state,
-            flags,
-            arrivals: Vec::new(),
-            next_arrival: 0,
-            pending: Vec::new(),
-            inflight: Vec::new(),
-            records: JobRecordsManager::new(),
-            now: 0.0,
+            profiles: profiles.to_vec(),
+            sim: None,
+            pick: Arc::new(Mutex::new(PickSlot::default())),
             prev_objective: 0.0,
             steps: 0,
             done: false,
-            view,
         }
     }
 
@@ -178,192 +118,43 @@ impl SchedulerEnv {
 
     /// The telemetry emitted so far this episode — the exact stream the
     /// reward deltas are computed from (pinned by the reward-accounting
-    /// proptest).
-    pub fn records(&self) -> &[crate::records::JobRecord] {
-        self.records.records()
+    /// proptest). A copy: the records live in the running simulation.
+    pub fn records(&self) -> Vec<JobRecord> {
+        self.sim
+            .as_ref()
+            .map(|sim| sim.state().records.records().to_vec())
+            .unwrap_or_default()
     }
 
-    /// The earliest future event, or `None` when the episode has none left.
-    fn next_event_time(&self) -> Option<f64> {
-        let mut t = f64::INFINITY;
-        if let Some(j) = self.arrivals.get(self.next_arrival) {
-            t = t.min(j.arrival_time);
-        }
-        for l in self.state.leases() {
-            t = t.min(l.release_at);
-        }
-        for f in &self.inflight {
-            t = t.min(if f.exec_done { f.finish } else { f.exec_end });
-        }
-        for w in &self.cfg.maintenance {
-            if w.start > self.now {
-                t = t.min(w.start);
-            }
-            if w.end() > self.now {
-                t = t.min(w.end());
-            }
-        }
-        t.is_finite().then_some(t)
+    fn sim(&mut self) -> &mut QCloudSimEnv {
+        self.sim.as_mut().expect("reset before step")
     }
 
-    /// Processes every event due at `t` (maintenance edges, lease releases,
-    /// execution ends, finishes, arrivals — the same intra-instant order
-    /// the simulation's coroutines resolve to) and refreshes the state.
-    fn process_events_at(&mut self, t: f64) {
-        debug_assert!(t >= self.now, "event time moved backwards");
-        self.now = t;
-        for d in 0..self.specs.len() {
-            let off = self
-                .cfg
-                .maintenance
-                .iter()
-                .any(|w| w.device == d && w.contains(t));
-            self.flags.set_offline(d, off);
-        }
-        let due: Vec<(JobId, crate::device::DeviceId, u64)> = self
-            .state
-            .leases()
-            .iter()
-            .filter(|l| l.release_at <= t)
-            .map(|l| (l.job, l.device, l.qubits))
-            .collect();
-        for (job, device, qubits) in due {
-            self.state.release(job, device, qubits, t);
-        }
-        for f in &mut self.inflight {
-            if !f.exec_done && f.exec_end <= t {
-                self.records.record_exec_end(f.id, f.exec_end);
-                f.exec_done = true;
-            }
-        }
-        let records = &mut self.records;
-        self.inflight.retain(|f| {
-            if f.exec_done && f.finish <= t {
-                records.record_finish(f.id, f.finish, f.fidelity, f.comm);
-                false
-            } else {
-                true
-            }
-        });
-        while self
-            .arrivals
-            .get(self.next_arrival)
-            .is_some_and(|j| j.arrival_time <= t)
-        {
-            let job = self.arrivals[self.next_arrival].clone();
-            self.records.record_arrival(&job);
-            self.pending.push(job);
-            self.next_arrival += 1;
-        }
-        self.state.refresh(t, &self.flags);
+    fn queue_is_empty(&self) -> bool {
+        self.sim
+            .as_ref()
+            .is_none_or(|sim| sim.state().pending.is_empty())
     }
 
-    /// Advances to the next event batch. Returns `false` when none remain.
-    fn advance_to_next_event(&mut self) -> bool {
-        match self.next_event_time() {
-            Some(t) => {
-                self.process_events_at(t);
-                true
-            }
-            None => false,
-        }
+    /// Runs instants until a job waits in the queue (a decision point) or
+    /// the simulation has no event left.
+    fn roll_forward(&mut self) {
+        while self.queue_is_empty() && self.sim().run_next_instant() {}
     }
 
-    /// Dispatches `pending[idx]` on `parts` at the current instant,
-    /// mirroring the simulation scheduler loop (bypass records for
-    /// overtaken jobs, start record, reservation) and the executor's
-    /// timing/fidelity arithmetic.
-    fn dispatch(&mut self, idx: usize, parts: Vec<(crate::device::DeviceId, u64)>) {
-        for overtaken in self.pending.iter().take(idx) {
-            self.records.record_bypass(overtaken.id);
-        }
-        let job = self.pending.remove(idx);
-        let total: u64 = parts.iter().map(|&(_, a)| a).sum();
-        assert_eq!(
-            total, job.num_qubits,
-            "placement allocated {total} of {} qubits for job {:?}",
-            job.num_qubits, job.id
-        );
-        self.records.record_start(job.id, self.now, &parts);
-        self.state.reserve(&job, &parts, self.now);
-        let k = parts.len();
-        let max_exec = parts
-            .iter()
-            .map(|&(d, _)| {
-                let dev = &self.slots[d.index()];
-                self.params
-                    .exec
-                    .execution_seconds(job.num_shots, dev.qv_layers, dev.clops)
-            })
-            .fold(0.0f64, f64::max);
-        let comm = self.params.comm.comm_seconds(job.num_qubits, k);
-        let fids: Vec<f64> = parts
-            .iter()
-            .map(|&(d, a)| {
-                let dev = &self.slots[d.index()];
-                self.params.fidelity.device_fidelity(
-                    &dev.error_rates,
-                    job.depth,
-                    job.two_qubit_gates,
-                    a,
-                    job.num_qubits,
-                    k,
-                )
-            })
-            .collect();
-        let fidelity = self
-            .params
-            .fidelity
-            .final_fidelity(&fids, self.params.comm.phi);
-        self.inflight.push(Inflight {
-            id: job.id,
-            exec_end: self.now + max_exec,
-            finish: self.now + max_exec + comm,
-            fidelity,
-            comm,
-            exec_done: false,
-        });
-    }
-
-    /// Consults the placement broker for `pending[idx]` against a fresh
-    /// view; dispatches on success.
-    fn try_dispatch(&mut self, idx: usize) -> bool {
-        self.state.copy_view_into(&mut self.view);
-        match self.broker.select(&self.pending[idx], &self.view) {
-            AllocationPlan::Dispatch(parts) => {
-                self.dispatch(idx, parts);
-                true
-            }
-            AllocationPlan::Wait => false,
-        }
-    }
-
-    /// The idle-fleet fallback shared with the deployment adapter:
-    /// dispatches the first broker-placeable pending job in FIFO order.
-    fn fallback_dispatch(&mut self) -> bool {
-        for i in 0..self.pending.len() {
-            self.state.copy_view_into(&mut self.view);
-            if let AllocationPlan::Dispatch(parts) =
-                self.broker.select(&self.pending[i], &self.view)
-            {
-                self.dispatch(i, parts);
-                return true;
-            }
-        }
-        false
-    }
-
-    /// All work drained: nothing queued, in flight, leased, or yet to come.
-    fn drained(&self) -> bool {
-        self.pending.is_empty()
-            && self.inflight.is_empty()
-            && self.next_arrival >= self.arrivals.len()
-            && self.state.leases().is_empty()
-    }
-
+    /// Encodes the observation at the current instant.
     fn observe(&self) -> Vec<f32> {
+        let sim = self.sim.as_ref().expect("reset before observe");
         let mut out = vec![0.0f32; self.cfg.obs.obs_dim()];
-        encode_sched_observation_into(&mut out, &self.pending, &self.state, &self.cfg.obs);
+        let mut st = sim.state();
+        let st = &mut *st;
+        st.cloud_state.refresh(sim.now(), sim.offline());
+        encode_sched_observation_into(
+            &mut out,
+            st.pending.make_contiguous(),
+            &st.cloud_state,
+            &self.cfg.obs,
+        );
         out
     }
 }
@@ -378,28 +169,38 @@ impl Env for SchedulerEnv {
     }
 
     fn reset(&mut self, seed: u64) -> Vec<f32> {
-        self.state = CloudState::new(&self.specs, &self.params);
-        for &w in &self.cfg.maintenance {
-            self.state.add_maintenance_window(w);
+        if let Some(sim) = self.sim.take() {
+            self.profiles = sim.into_profiles();
         }
-        self.flags = OfflineFlags::new(self.specs.len());
-        self.arrivals = bimodal_arrivals(
+        *self.pick.lock() = PickSlot::default();
+        let scheduler = RlSchedScheduler::for_env(
+            self.cfg.obs.clone(),
+            &self.cfg.placement,
+            seed,
+            self.pick.clone(),
+        );
+        let jobs = bimodal_arrivals(
             self.cfg.n_jobs,
             self.cfg.arrival_rate,
             self.cfg.big_every,
             seed,
         );
-        self.next_arrival = 0;
-        self.pending.clear();
-        self.inflight.clear();
-        self.records = JobRecordsManager::new();
-        self.now = 0.0;
+        let mut sim = QCloudSimEnv::with_scheduler(
+            std::mem::take(&mut self.profiles),
+            Box::new(scheduler),
+            jobs,
+            self.params.clone(),
+            seed,
+        );
+        for &w in &self.cfg.maintenance {
+            sim.schedule_maintenance(w);
+        }
+        self.sim = Some(sim);
         self.prev_objective = 0.0;
         self.steps = 0;
         self.done = false;
-        self.broker = self.cfg.placement.build(seed);
         // Roll forward to the first decision point (first arrival).
-        while self.pending.is_empty() && self.advance_to_next_event() {}
+        self.roll_forward();
         self.observe()
     }
 
@@ -407,44 +208,50 @@ impl Env for SchedulerEnv {
         assert_eq!(action.len(), self.action_dim(), "action dim mismatch");
         assert!(!self.done, "step on a finished episode (reset first)");
         self.steps += 1;
-        let pick = argmax(action);
+        // An empty queue has nothing to pick from: the step is a wait.
+        let outcome = if self.queue_is_empty() {
+            Outcome::Held
+        } else {
+            self.pick.lock().pick = Some(argmax(action));
+            let sim = self.sim();
+            assert!(sim.wake_scheduler(), "the scheduler parks between asks");
+            sim.run_next_instant();
+            self.pick
+                .lock()
+                .outcome
+                .take()
+                .expect("the woken scheduler took the pick")
+        };
         let mut truncated = false;
-
-        let dispatched =
-            pick < self.cfg.obs.queue_slots && pick < self.pending.len() && self.try_dispatch(pick);
-        if !dispatched {
-            // Wait. A wait is only honoured while leased work will produce
-            // the wake-up event; with an idle fleet the deployed adapter
-            // ([`super::RlSchedScheduler`]) cannot see future arrivals and
-            // falls back to a FIFO-greedy dispatch — training mirrors that
-            // exactly so the policy never meets unseen dynamics.
-            if !self.pending.is_empty() && self.state.leases().is_empty() {
-                if !self.fallback_dispatch() && !self.advance_to_next_event() {
-                    // The placement refuses every queued job on an idle
-                    // fleet (e.g. a job larger than total capacity) and no
-                    // event is coming: truncate, leaving the refusals
-                    // visible as unfinished records.
+        match outcome {
+            // More picks may follow at the same instant.
+            Outcome::Picked => {}
+            Outcome::FellBack => self.roll_forward(),
+            // Wait for the next instant (arrival, lease release, job
+            // finish, maintenance edge). With none left, queued work can
+            // never start — e.g. the placement refuses every queued job on
+            // an idle fleet: truncate, leaving the refusals visible as
+            // unfinished records.
+            Outcome::Held => {
+                if !self.sim().run_next_instant() && !self.queue_is_empty() {
                     truncated = true;
                 }
-            } else if !self.advance_to_next_event() && !self.pending.is_empty() {
-                // Defensive: pending work with neither leases nor events
-                // cannot progress (unreachable — leases imply events).
-                truncated = true;
+                self.roll_forward();
             }
-            // Roll through no-decision stretches (empty queue) to the next
-            // choice point.
-            while self.pending.is_empty() && self.advance_to_next_event() {}
         }
 
-        let terminated = self.drained();
+        let (terminated, objective) = {
+            let st = self.sim.as_ref().expect("reset before step").state();
+            let terminated = st.pending.is_empty()
+                && st.records.terminal_count() == self.cfg.n_jobs
+                && st.cloud_state.leases().is_empty();
+            let objective =
+                episode_objective(st.records.records(), self.total_capacity, &self.cfg.reward);
+            (terminated, objective)
+        };
         if !terminated && self.steps >= self.cfg.max_steps {
             truncated = true;
         }
-        let objective = episode_objective(
-            self.records.records(),
-            self.total_capacity,
-            &self.cfg.reward,
-        );
         let reward = objective - self.prev_objective;
         self.prev_objective = objective;
         self.done = terminated || truncated;
@@ -494,7 +301,7 @@ mod tests {
         let (ret, _) = run_episode(&mut e, 11, 0);
         assert_eq!(e.records().len(), 16);
         assert!(e.records().iter().all(|r| r.finished()));
-        let recomputed = episode_objective(e.records(), e.total_capacity(), &e.config().reward);
+        let recomputed = episode_objective(&e.records(), e.total_capacity(), &e.config().reward);
         assert!(
             (ret - recomputed).abs() < 1e-9,
             "return {ret} drifted from objective {recomputed}"
@@ -555,7 +362,14 @@ mod tests {
         e.reset(9);
         loop {
             assert!(
-                e.state.leases().iter().all(|l| l.device.index() != 0),
+                e.sim
+                    .as_ref()
+                    .unwrap()
+                    .state()
+                    .cloud_state
+                    .leases()
+                    .iter()
+                    .all(|l| l.device.index() != 0),
                 "lease on offline device"
             );
             let r = e.step(&action);

@@ -2,10 +2,13 @@
 //!
 //! The single-step gym ([`crate::gym::QCloudGymEnv`]) trains a *placement*
 //! policy: one job, one synthetic availability snapshot, one allocation.
-//! This module trains a *scheduling* policy on the real scheduler loop —
-//! the same queue/state/records machinery the simulation harnesses run —
-//! so the agent competes with the queue-aware disciplines (backfill,
-//! conservative) on their own terms.
+//! This module trains a *scheduling* policy inside the simulator itself:
+//! [`SchedulerEnv`] runs a [`crate::QCloudSimEnv`] whose scheduler is an
+//! [`RlSchedScheduler`], advances it one instant at a time, and hands the
+//! agent each queue decision. There is one simulator loop, so the agent
+//! trains on exactly the dynamics it is deployed into and competes with
+//! the queue-aware disciplines (backfill, conservative) on their own
+//! terms.
 //!
 //! ## Observation contract
 //!
@@ -31,10 +34,16 @@
 //!
 //! * index `j < K`: try to dispatch the `j`-th queued job **now** through
 //!   the configured placement broker (index 0 = FIFO head; `j > 0` is a
-//!   queue jump and records bypass events exactly like the simulation
-//!   scheduler loop);
+//!   queue jump, recorded as bypass events by the simulator's scheduler
+//!   loop like any other discipline's);
 //! * index `K`, an out-of-range slot, or a placement refusal: **wait** for
-//!   the next event (arrival, lease release, job finish, maintenance edge).
+//!   the next event (arrival, lease release, job finish, maintenance edge)
+//!   — unless the fleet is idle, when nothing in flight would end the
+//!   wait: then the first placeable queued job dispatches instead.
+//!
+//! The environment asks only at instants where the queue is non-empty. A
+//! dispatch keeps the clock where it is (the agent may dispatch again at
+//! the same instant); a wait advances it to the next event.
 //!
 //! ## Reward contract
 //!
@@ -53,8 +62,10 @@
 //! with its observation config and placement name; `rl:<path>` specs
 //! pointing at such a checkpoint resolve through
 //! [`crate::policies::scheduler_by_name`] to the [`RlSchedScheduler`]
-//! inference adapter, so the trained agent runs in every harness
-//! (table2 / fig6 / queueing / serve) exactly like any named discipline.
+//! adapter — the same scheduler that applied the agent's picks in training,
+//! now taking them from the policy — so the trained agent runs in every
+//! harness (table2 / fig6 / queueing / serve) exactly like any named
+//! discipline.
 //!
 //! [`Scheduler`]: crate::sched::Scheduler
 //! [`CloudState`]: crate::sched::CloudState

@@ -25,6 +25,11 @@
 //!   releases its qubits (into the containers *and* the lease-tracked
 //!   state), logs completion, and wakes the scheduler.
 //!
+//! The same loop trains the RL scheduler: [`crate::rlsched::SchedulerEnv`]
+//! steps a `QCloudSimEnv` one instant at a time through the crate-internal
+//! ask/tell seam at the end of the `impl` (run one instant, wake the
+//! parked scheduler, read the shared queue state).
+//!
 //! ## Failure and recovery semantics
 //!
 //! [`QCloudSimEnv::install_faults`] arms a [`crate::faults::FaultScript`]:
@@ -766,14 +771,6 @@ pub(crate) fn spawn_shard(
             qv_layers: d.qv_layers(),
         })
         .collect();
-    let topologies = Arc::new(
-        cloud
-            .devices()
-            .iter()
-            .map(|d| d.profile.topology.clone())
-            .collect::<Vec<_>>(),
-    );
-
     let strategy_name = scheduler.name().to_string();
     let queue_capacity = if total_jobs == usize::MAX {
         0
@@ -799,11 +796,17 @@ pub(crate) fn spawn_shard(
         shared: shared.clone(),
         info: info.clone(),
         params: params.clone(),
-        topologies: if params.exact_connectivity {
-            Some(topologies)
-        } else {
-            None
-        },
+        // The coupling graphs are cloned only when the connectivity check
+        // will read them.
+        topologies: params.exact_connectivity.then(|| {
+            Arc::new(
+                cloud
+                    .devices()
+                    .iter()
+                    .map(|d| d.profile.topology.clone())
+                    .collect(),
+            )
+        }),
         scheduler_pid: scheduler_pid.clone(),
         offline: offline.clone(),
     };
@@ -965,7 +968,7 @@ impl QCloudSimEnv {
 
     /// Arms a [`FaultScript`]: resolves the deterministic
     /// [`FaultInjector`] against the fleet's calibration data, stores the
-    /// [`RetryPolicy`], and spawns one [`CrashProc`] per scripted outage.
+    /// [`RetryPolicy`], and spawns one crash process per scripted outage.
     /// See the module docs for the failure/recovery semantics.
     ///
     /// `avoid` wires prefer-different-device resubmission: pass the *same*
@@ -1071,6 +1074,46 @@ impl QCloudSimEnv {
     /// The fleet (inspection/testing).
     pub fn cloud(&self) -> &QCloud {
         &self.cloud
+    }
+
+    // The ask/tell seam the RL training environment (`SchedulerEnv`)
+    // steps the simulation through.
+
+    /// Runs every event of the earliest pending instant; `false` when the
+    /// simulation has no event left. See
+    /// [`Simulation::run_next_instant`].
+    pub(crate) fn run_next_instant(&mut self) -> bool {
+        self.sim.run_next_instant()
+    }
+
+    /// The simulation clock.
+    pub(crate) fn now(&self) -> f64 {
+        self.sim.now()
+    }
+
+    /// Wakes the parked scheduler coroutine; its decide runs on the next
+    /// [`QCloudSimEnv::run_next_instant`], at the unchanged clock. `false`
+    /// when it was not parked.
+    pub(crate) fn wake_scheduler(&mut self) -> bool {
+        let pid = ProcessId::from_raw(self.scheduler_pid.load(Ordering::Relaxed));
+        self.sim.wake(pid)
+    }
+
+    /// The shard's shared queue, state and records, locked.
+    pub(crate) fn state(&self) -> impl std::ops::DerefMut<Target = SchedState> + '_ {
+        self.shared.lock()
+    }
+
+    /// The fleet's offline flags (maintenance and crashes).
+    pub(crate) fn offline(&self) -> &crate::maintenance::OfflineFlags {
+        &self.offline
+    }
+
+    /// Tears the environment down and hands the device profiles back, so a
+    /// caller that builds one simulation per episode reuses them instead
+    /// of cloning the fleet each time.
+    pub(crate) fn into_profiles(self) -> Vec<DeviceProfile> {
+        self.cloud.into_profiles()
     }
 }
 

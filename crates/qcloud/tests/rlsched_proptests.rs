@@ -104,7 +104,7 @@ proptest! {
         check_records(&env, n_jobs);
         prop_assert!(env.records().iter().all(|r| r.finished()));
         let recomputed = episode_objective(
-            env.records(),
+            &env.records(),
             env.total_capacity(),
             &env.config().reward,
         );
@@ -143,7 +143,7 @@ proptest! {
             }
         }
         let recomputed = episode_objective(
-            env.records(),
+            &env.records(),
             env.total_capacity(),
             &env.config().reward,
         );
